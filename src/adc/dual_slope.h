@@ -18,8 +18,10 @@
 // bench maps it to the paper's "input code equivalent" axis.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 
 #include "analog/comparator.h"
 #include "analog/macro.h"
@@ -78,10 +80,22 @@ struct ConversionResult {
 
 class DualSlopeAdc {
  public:
+  /// Conversions convert_many() steps together. A clock of one conversion
+  /// is a short chain of dependent floating-point operations; interleaving
+  /// this many independent chains keeps the core busy. Chosen by
+  /// measurement (DESIGN.md, "Conversion kernel").
+  static constexpr std::size_t kLanes = 12;
+
   explicit DualSlopeAdc(DualSlopeAdcConfig cfg);
 
   /// Run one full conversion of the given input voltage.
   ConversionResult convert(double vin);
+
+  /// Convert vin[i] into out[i] for every i: the same results, and the
+  /// same noise-stream position afterwards, as calling convert() on each
+  /// input in order. The conversions run in blocks of kLanes, clock by
+  /// clock in lockstep. Throws std::invalid_argument on a size mismatch.
+  void convert_many(std::span<const double> vin, std::span<ConversionResult> out);
 
   /// Convenience: just the output code.
   std::uint32_t code_for(double vin) { return convert(vin).code; }

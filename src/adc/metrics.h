@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/outcome.h"
@@ -44,12 +45,26 @@ struct TransitionLevels {
   std::vector<double> reverse_transitions;  ///< downward-crossing voltages
 };
 
-/// Locate transition levels with a fine voltage ramp over [v_lo, v_hi].
-/// step_v should be a small fraction of one LSB (e.g. LSB/40). A noisy
-/// converter flickers near each transition, so the code at each ramp
-/// point is averaged over samples_per_point conversions and a transition
-/// is recorded where the mean code crosses the half-code level (the
-/// standard 50 %-probability definition of a transition voltage).
+/// The input voltages of a fine ramp over [v_lo, v_hi]: v_lo + i step_v
+/// for i = 0, 1, ... up to v_hi. An exactly divisible span keeps v_hi as
+/// its last point. Throws std::invalid_argument unless step_v > 0 and
+/// v_hi > v_lo.
+std::vector<double> ramp_points(double v_lo, double v_hi, double step_v);
+
+/// Transition levels from a measured ramp: mean_codes[i] is the mean
+/// output code at voltages[i], the ramp rising with i. A transition is
+/// recorded where the mean code crosses a half-code level (the standard
+/// 50 %-probability definition of a transition voltage), interpolated
+/// between the two ramp points either side. Throws std::invalid_argument
+/// if the spans are empty or differ in size.
+TransitionLevels transitions_from_ramp(std::span<const double> voltages,
+                                       std::span<const double> mean_codes);
+
+/// Locate transition levels with a fine voltage ramp over [v_lo, v_hi]
+/// (ramp_points, then transitions_from_ramp). step_v should be a small
+/// fraction of one LSB (e.g. LSB/40). A noisy converter flickers near
+/// each transition, so the code at each ramp point is averaged over
+/// samples_per_point conversions, taken point by point.
 TransitionLevels measure_transitions_ramp(const AdcTransferFn& adc, double v_lo,
                                           double v_hi, double step_v,
                                           int samples_per_point = 1);

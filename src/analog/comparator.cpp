@@ -12,19 +12,14 @@ ComparatorParams ComparatorParams::varied(ProcessVariation& pv) const {
   return p;
 }
 
-ComparatorModel::ComparatorModel(ComparatorParams p) : params_(p) {
+ComparatorModel::ComparatorModel(ComparatorParams p)
+    : params_(p), half_hyst_(0.5 * p.hysteresis_v), instant_(p.delay_s <= 0.0) {
   if (params_.hysteresis_v < 0 || params_.delay_s < 0) {
     throw std::invalid_argument("ComparatorModel: hysteresis and delay must be >= 0");
   }
   if (params_.v_high <= params_.v_low) {
     throw std::invalid_argument("ComparatorModel: v_high must exceed v_low");
   }
-}
-
-void ComparatorModel::reset(bool output_high) {
-  out_high_ = output_high;
-  pending_valid_ = false;
-  pending_timer_ = 0.0;
 }
 
 }  // namespace msbist::analog

@@ -25,53 +25,72 @@ struct ComparatorParams {
 
 /// Clocked/continuous comparator with hysteresis and a transport delay
 /// realized as a pending-edge timer. Call step() once per simulation step.
+///
+/// The per-step behaviour lives in advance(), which steps an explicit
+/// State: step() applies it to this model's own state, and the ADC's
+/// lockstep conversion kernel applies it to one State per lane.
 class ComparatorModel {
  public:
+  /// Everything a comparator remembers between steps.
+  struct State {
+    bool out_high = false;       ///< committed (visible) output state
+    bool pending_valid = false;  ///< an edge is in flight
+    bool pending_state = false;
+    double pending_timer = 0.0;
+  };
+
   explicit ComparatorModel(ComparatorParams p);
 
-  void reset(bool output_high = false);
+  void reset(bool output_high = false) { state_ = State{output_high}; }
 
   /// Advance by dt with the given inputs; returns the (possibly delayed)
-  /// output level. Inline: runs once per simulation step, millions of
-  /// times per production batch.
+  /// output level.
   double step(double v_plus, double v_minus, double dt) {
     if (dt <= 0) throw std::invalid_argument("ComparatorModel::step: dt must be > 0");
+    return level(advance(state_, v_plus, v_minus, dt));
+  }
+
+  /// step() on an explicit state, for a caller that has checked dt > 0
+  /// once; returns the committed output state. Inline: runs once per
+  /// simulation step, millions of times per production batch.
+  bool advance(State& s, double v_plus, double v_minus, double dt) const {
     const double vid = v_plus - v_minus + params_.offset_v;
     // Hysteresis around zero: the comparison target shifts away from the
     // current committed state.
-    const double half_hyst = 0.5 * params_.hysteresis_v;
-    const bool raw = out_high_ ? (vid > -half_hyst) : (vid > half_hyst);
+    const bool raw = vid > (s.out_high ? -half_hyst_ : half_hyst_);
 
-    if (params_.delay_s <= 0.0) {
-      out_high_ = raw;
-    } else if (raw != out_high_) {
-      if (!pending_valid_ || pending_state_ != raw) {
-        pending_valid_ = true;
-        pending_state_ = raw;
-        pending_timer_ = params_.delay_s;
+    if (instant_) {
+      s.out_high = raw;
+    } else if (raw != s.out_high) {
+      if (!s.pending_valid || s.pending_state != raw) {
+        s.pending_valid = true;
+        s.pending_state = raw;
+        s.pending_timer = params_.delay_s;
       } else {
-        pending_timer_ -= dt;
-        if (pending_timer_ <= 0.0) {
-          out_high_ = pending_state_;
-          pending_valid_ = false;
+        s.pending_timer -= dt;
+        if (s.pending_timer <= 0.0) {
+          s.out_high = s.pending_state;
+          s.pending_valid = false;
         }
       }
     } else {
       // Input went back before the delay elapsed: cancel the edge.
-      pending_valid_ = false;
+      s.pending_valid = false;
     }
-    return out_high_ ? params_.v_high : params_.v_low;
+    return s.out_high;
   }
 
-  bool output_high() const { return out_high_; }
+  /// The output level of a committed state.
+  double level(bool high) const { return high ? params_.v_high : params_.v_low; }
+
+  bool output_high() const { return state_.out_high; }
   const ComparatorParams& params() const { return params_; }
 
  private:
   ComparatorParams params_;
-  bool out_high_ = false;       ///< committed (visible) output state
-  bool pending_valid_ = false;  ///< an edge is in flight
-  bool pending_state_ = false;
-  double pending_timer_ = 0.0;
+  double half_hyst_;  ///< half the hysteresis width
+  bool instant_;      ///< no propagation delay: delay_s <= 0
+  State state_;
 };
 
 }  // namespace msbist::analog

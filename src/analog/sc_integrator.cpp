@@ -19,18 +19,18 @@ ScIntegratorParams ScIntegratorParams::varied(ProcessVariation& pv) const {
   return p;
 }
 
-ScIntegratorModel::ScIntegratorModel(ScIntegratorParams p) : params_(p) {
+ScIntegratorModel::ScIntegratorModel(ScIntegratorParams p)
+    : params_(p),
+      gain_((1.0 / p.cap_ratio) * (1.0 + p.ratio_error)),
+      retain_(1.0 - p.leak),
+      invert_gain_(1.0 + p.invert_gain_mismatch) {
   if (params_.cap_ratio <= 0) {
     throw std::invalid_argument("ScIntegratorModel: cap_ratio must be > 0");
   }
   if (params_.vout_max <= params_.vout_min) {
     throw std::invalid_argument("ScIntegratorModel: vout_max must exceed vout_min");
   }
-  vout_ = std::clamp(0.0, params_.vout_min, params_.vout_max);
-}
-
-void ScIntegratorModel::reset(double vout) {
-  vout_ = std::clamp(vout, params_.vout_min, params_.vout_max);
+  vout_ = clamp(0.0);
 }
 
 ScIntegratorNodes build_sc_integrator(circuit::Netlist& netlist,

@@ -52,27 +52,42 @@ struct ScIntegratorParams {
 };
 
 /// Discrete-time behavioural SC integrator; one update() per clock cycle.
+///
+/// The per-cycle arithmetic lives in next(), a pure function of the
+/// output voltage: update() applies it to this model's own output, and
+/// the ADC's lockstep conversion kernel applies it to one output voltage
+/// per lane. The parameter-only factors of the update (the 1/k gain, the
+/// leak and run-down factors) are computed once, in the constructor.
 class ScIntegratorModel {
  public:
   explicit ScIntegratorModel(ScIntegratorParams p);
 
-  void reset(double vout = 0.0);
+  void reset(double vout = 0.0) { vout_ = clamp(vout); }
 
   /// One switched-capacitor cycle with input sample vin (the sample taken
   /// in the previous phase, matching the z^-1 in the design equation).
   /// Positive direction integrates up; pass invert=true for the dual-slope
-  /// run-down phase (switch control flips the sampled polarity). Inline:
-  /// runs once per ADC clock, millions of times per production batch.
+  /// run-down phase (switch control flips the sampled polarity).
   double update(double vin, bool invert = false) {
-    const double gain = (1.0 / params_.cap_ratio) * (1.0 + params_.ratio_error);
+    vout_ = next(vout_, vin, invert);
+    return vout_;
+  }
+
+  /// The output one cycle after `vout` for input sample vin. Inline: runs
+  /// once per ADC clock, millions of times per production batch.
+  double next(double vout, double vin, bool invert) const {
     // The nonlinearity models capacitor voltage-coefficient effects: the
     // per-cycle step depends weakly on the present output level.
-    double step = gain * vin * (1.0 + params_.nonlinearity * vout_) *
+    double step = gain_ * vin * (1.0 + params_.nonlinearity * vout) *
                   (1.0 + params_.input_nonlinearity * vin);
-    if (invert) step = -step * (1.0 + params_.invert_gain_mismatch);
-    double next = vout_ * (1.0 - params_.leak) + step + params_.offset_per_cycle;
-    vout_ = std::clamp(next, params_.vout_min, params_.vout_max);
-    return vout_;
+    if (invert) step = -step * invert_gain_;
+    const double sum = vout * retain_ + step + params_.offset_per_cycle;
+    return clamp(sum);
+  }
+
+  /// An output level limited to the op-amp's saturation range.
+  double clamp(double vout) const {
+    return std::clamp(vout, params_.vout_min, params_.vout_max);
   }
 
   double output() const { return vout_; }
@@ -80,6 +95,9 @@ class ScIntegratorModel {
 
  private:
   ScIntegratorParams params_;
+  double gain_;         ///< (1 / k) (1 + ratio_error)
+  double retain_;       ///< 1 - leak
+  double invert_gain_;  ///< 1 + invert_gain_mismatch
   double vout_ = 0.0;
 };
 

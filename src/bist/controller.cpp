@@ -188,9 +188,11 @@ AnalogTestResult BistController::analog_test(adc::DualSlopeAdc& adc) const {
   AnalogTestResult res;
   res.step_levels = steps_.levels();
   const double vref = adc.config().vref;
-  for (double v : res.step_levels) {
-    const adc::ConversionResult conv = adc.convert(v);
-    res.fall_times_s.push_back(conv.fall_time_s);
+  std::vector<adc::ConversionResult> conv(res.step_levels.size());
+  adc.convert_many(res.step_levels, conv);
+  for (std::size_t i = 0; i < conv.size(); ++i) {
+    const double v = res.step_levels[i];
+    res.fall_times_s.push_back(conv[i].fall_time_s);
     // Expected law: T2 = (Vref - Vin) * (T1/Vref) + pedestal time.
     const double t1 = static_cast<double>(adc.config().integrate_counts) /
                       adc.config().clock_hz;
@@ -212,11 +214,11 @@ AnalogTestResult BistController::analog_test(adc::DualSlopeAdc& adc) const {
 RampTestResult BistController::ramp_test(adc::DualSlopeAdc& adc) const {
   RampTestResult res;
   res.sample_times_s = ramp_.measurement_times();
+  for (double t : res.sample_times_s) res.sample_voltages.push_back(ramp_.value(t));
+  std::vector<adc::ConversionResult> convs(res.sample_voltages.size());
+  adc.convert_many(res.sample_voltages, convs);
   bool all_complete = true;
-  for (double t : res.sample_times_s) {
-    const double v = ramp_.value(t);
-    res.sample_voltages.push_back(v);
-    const adc::ConversionResult conv = adc.convert(v);
+  for (const adc::ConversionResult& conv : convs) {
     res.codes.push_back(conv.code);
     all_complete = all_complete && conv.completed && !conv.timed_out;
   }
@@ -233,19 +235,25 @@ RampTestResult BistController::ramp_test(adc::DualSlopeAdc& adc) const {
 DigitalTestResult BistController::digital_test(adc::DualSlopeAdc& adc) const {
   DigitalTestResult res;
   // Worst-case conversion time occurs at zero input (longest run-down).
-  const adc::ConversionResult worst = adc.convert(0.0);
-  res.max_conversion_time_s = worst.conversion_time_s;
-
-  // Fall-time step per code: one-LSB input change. Conversion noise on a
-  // single difference is ~0.8 counts RMS, so the estimate averages enough
-  // repeats to push its sigma well inside the half-count pass window.
+  // Fall-time step per code: one-LSB input change, alternating 1.0 V and
+  // 1.0 V + 1 LSB. Conversion noise on a single difference is ~0.8 counts
+  // RMS, so the estimate averages enough repeats to push its sigma well
+  // inside the half-count pass window.
   const double lsb = adc.lsb_volts();
+  const std::size_t reps = 32;
+  std::vector<double> inputs{0.0};
+  for (std::size_t r = 0; r < reps; ++r) {
+    inputs.push_back(1.0);
+    inputs.push_back(1.0 + lsb);
+  }
+  std::vector<adc::ConversionResult> convs(inputs.size());
+  adc.convert_many(inputs, convs);
+
+  const adc::ConversionResult& worst = convs[0];
+  res.max_conversion_time_s = worst.conversion_time_s;
   double acc = 0.0;
-  const int reps = 32;
-  for (int r = 0; r < reps; ++r) {
-    const adc::ConversionResult a = adc.convert(1.0);
-    const adc::ConversionResult b = adc.convert(1.0 + lsb);
-    acc += a.fall_time_s - b.fall_time_s;
+  for (std::size_t r = 0; r < reps; ++r) {
+    acc += convs[1 + 2 * r].fall_time_s - convs[2 + 2 * r].fall_time_s;
   }
   res.fall_time_per_code_s = acc / static_cast<double>(reps);
   res.volts_per_code = lsb;
@@ -262,24 +270,27 @@ CompressedTestResult BistController::compressed_test(
   CompressedTestResult res;
   const ToleranceCompressor comp = make_compressor(adc);
 
+  // The step inputs feed the digital signature; the ramp inputs and a
+  // zero input (the true maximum excursion) feed the analogue one.
+  const std::vector<double>& levels = steps_.levels();
+  std::vector<double> inputs = levels;
+  for (double t : ramp_.measurement_times()) inputs.push_back(ramp_.value(t));
+  inputs.push_back(0.0);
+  std::vector<adc::ConversionResult> convs(inputs.size());
+  adc.convert_many(inputs, convs);
+
   // Digital signature from the consecutive step inputs.
   std::vector<std::uint32_t> codes;
-  double peak = 0.0;
-  for (double v : steps_.levels()) {
-    const adc::ConversionResult conv = adc.convert(v);
-    codes.push_back(conv.code);
-  }
+  for (std::size_t i = 0; i < levels.size(); ++i) codes.push_back(convs[i].code);
   res.digital_signature = comp.signature(codes);
   res.expected_signature = comp.golden_signature();
 
-  // Analogue signature: ramp the input and compress the maximum
-  // integrator voltage through the DC level sensor.
-  for (double t : ramp_.measurement_times()) {
-    const adc::ConversionResult conv = adc.convert(ramp_.value(t));
-    peak = std::max(peak, conv.integrator_peak_v);
+  // Analogue signature: compress the maximum integrator voltage through
+  // the DC level sensor.
+  double peak = 0.0;
+  for (std::size_t i = levels.size(); i < convs.size(); ++i) {
+    peak = std::max(peak, convs[i].integrator_peak_v);
   }
-  // Include the zero-input conversion: the true maximum excursion.
-  peak = std::max(peak, adc.convert(0.0).integrator_peak_v);
   res.analog_signature = sensor_.classify(peak);
 
   res.pass = res.digital_signature == res.expected_signature &&

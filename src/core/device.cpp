@@ -39,13 +39,17 @@ bist::BistReport Device::run_bist() { return bist_.run_all(adc_); }
 
 adc::AdcMetrics Device::characterize() {
   const double lsb = adc_.lsb_volts();
-  const std::uint32_t full = adc_.full_scale_code();
-  const adc::AdcTransferFn xfer = [&](double v) -> std::uint32_t {
-    // Ascending "input code equivalent" axis of the paper's Figure 2.
-    return full + 40u - adc_.code_for(v);
-  };
-  const adc::TransitionLevels tl =
-      adc::measure_transitions_ramp(xfer, -0.008, 1.012, 0.001, 1);
+  const std::vector<double> volts = adc::ramp_points(-0.008, 1.012, 0.001);
+  std::vector<adc::ConversionResult> conv(volts.size());
+  adc_.convert_many(volts, conv);
+  // Ascending "input code equivalent" axis of the paper's Figure 2. In
+  // double: a faulty die's code may exceed the axis origin.
+  const double origin = static_cast<double>(adc_.full_scale_code()) + 40.0;
+  std::vector<double> axis(volts.size());
+  for (std::size_t i = 0; i < volts.size(); ++i) {
+    axis[i] = origin - static_cast<double>(conv[i].code);
+  }
+  const adc::TransitionLevels tl = adc::transitions_from_ramp(volts, axis);
   const double ideal_first =
       (static_cast<double>(tl.base_code) - 40.0 + 0.5) * lsb;
   return adc::compute_metrics(tl, lsb, ideal_first);

@@ -12,11 +12,7 @@ BinaryCounter::BinaryCounter(unsigned bits, CounterFaults faults)
   if (faults_.stuck_bit && *faults_.stuck_bit >= bits_) {
     throw std::invalid_argument("BinaryCounter: stuck bit outside counter width");
   }
-}
-
-void BinaryCounter::clear() {
-  value_ = 0;
-  overflow_ = false;
+  max_ = (1u << bits_) - 1u;
 }
 
 }  // namespace msbist::digital

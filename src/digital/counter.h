@@ -22,36 +22,56 @@ struct CounterFaults {
 };
 
 /// Synchronous binary up-counter with enable and synchronous clear.
+///
+/// The per-clock behaviour lives in the State overloads: the stateless
+/// overloads apply them to this counter's own state, and the ADC's
+/// lockstep conversion kernel applies them to one State per lane.
 class BinaryCounter {
  public:
+  /// Everything a counter remembers between clocks.
+  struct State {
+    std::uint32_t value = 0;
+    std::uint64_t pulses_seen = 0;
+    bool enable = false;
+    bool overflow = false;
+  };
+
   explicit BinaryCounter(unsigned bits, CounterFaults faults = {});
 
-  void clear();
-  void set_enable(bool en) { enable_ = en; }
-  bool enabled() const { return enable_; }
+  void clear() { clear(state_); }
+  void clear(State& s) const {
+    s.value = 0;
+    s.overflow = false;
+  }
+  void set_enable(bool en) { state_.enable = en; }
+  bool enabled() const { return state_.enable; }
 
   /// One clock edge; counts when enabled. Returns the new visible count.
-  /// Inline: runs once per ADC clock, millions of times per batch.
-  std::uint32_t clock() {
-    if (enable_) {
-      ++pulses_seen_;
+  std::uint32_t clock() { return clock(state_); }
+
+  /// clock() on an explicit state. Inline: runs once per ADC clock,
+  /// millions of times per batch.
+  std::uint32_t clock(State& s) const {
+    if (s.enable) {
+      ++s.pulses_seen;
       const bool swallowed =
-          faults_.miss_every != 0 && (pulses_seen_ % faults_.miss_every == 0);
+          faults_.miss_every != 0 && (s.pulses_seen % faults_.miss_every == 0);
       if (!swallowed) {
-        if (value_ == max_count()) {
-          value_ = 0;
-          overflow_ = true;
+        if (s.value == max_) {
+          s.value = 0;
+          s.overflow = true;
         } else {
-          ++value_;
+          ++s.value;
         }
       }
     }
-    return count();
+    return count(s);
   }
 
   /// Visible count (with stuck-bit fault applied).
-  std::uint32_t count() const {
-    std::uint32_t v = value_;
+  std::uint32_t count() const { return count(state_); }
+  std::uint32_t count(const State& s) const {
+    std::uint32_t v = s.value;
     if (faults_.stuck_bit) {
       const std::uint32_t mask = 1u << *faults_.stuck_bit;
       if (faults_.stuck_bit_high) {
@@ -64,19 +84,17 @@ class BinaryCounter {
   }
 
   /// True internal count (test-only visibility).
-  std::uint32_t raw_count() const { return value_; }
+  std::uint32_t raw_count() const { return state_.value; }
 
   unsigned bits() const { return bits_; }
-  std::uint32_t max_count() const { return (1u << bits_) - 1u; }
-  bool overflowed() const { return overflow_; }
+  std::uint32_t max_count() const { return max_; }
+  bool overflowed() const { return state_.overflow; }
 
  private:
   unsigned bits_;
   CounterFaults faults_;
-  std::uint32_t value_ = 0;
-  std::uint64_t pulses_seen_ = 0;
-  bool enable_ = false;
-  bool overflow_ = false;
+  std::uint32_t max_ = 0;  ///< 2^bits - 1
+  State state_;
 };
 
 }  // namespace msbist::digital

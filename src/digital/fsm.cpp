@@ -13,13 +13,13 @@ DualSlopeControl::DualSlopeControl(std::uint32_t integrate_counts,
   }
 }
 
-void DualSlopeControl::start() {
-  if (phase_ != ConvPhase::kIdle && phase_ != ConvPhase::kDone) return;
-  if (frozen()) return;
-  phase_ = ConvPhase::kAutoZero;
-  phase_clocks_ = 0;
-  deint_clocks_ = 0;
-  timed_out_ = false;
+void DualSlopeControl::start(State& s) const {
+  if (s.phase != ConvPhase::kIdle && s.phase != ConvPhase::kDone) return;
+  if (frozen(s)) return;
+  s.phase = ConvPhase::kAutoZero;
+  s.phase_clocks = 0;
+  s.deint_clocks = 0;
+  s.timed_out = false;
 }
 
 MonotonicityChecker::MonotonicityChecker(std::uint32_t allowed_dip)

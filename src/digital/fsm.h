@@ -42,82 +42,113 @@ struct ControlOutputs {
 };
 
 /// Clock-by-clock dual-slope sequencer.
+///
+/// The per-clock behaviour lives in the State overloads: the stateless
+/// overloads apply them to this sequencer's own state, and the ADC's
+/// lockstep conversion kernel applies them to one State per lane.
 class DualSlopeControl {
  public:
+  /// Everything the sequencer remembers between clocks.
+  struct State {
+    ConvPhase phase = ConvPhase::kIdle;
+    std::uint32_t phase_clocks = 0;
+    std::uint32_t deint_clocks = 0;
+    bool timed_out = false;
+  };
+
   /// integrate_counts: length of the fixed integrate phase in clocks.
   /// timeout_counts: de-integration abort limit (conversion failure).
   DualSlopeControl(std::uint32_t integrate_counts, std::uint32_t timeout_counts,
                    ControlFaults faults = {});
 
   /// Begin a conversion (from IDLE or DONE).
-  void start();
+  void start() { start(state_); }
+  void start(State& s) const;
 
   /// Advance one clock. comparator_high reports the zero-crossing detector.
-  /// Returns the control outputs for this clock. Inline: this runs once
-  /// per ADC clock, millions of times per production batch.
+  /// Returns the control outputs for this clock.
   ControlOutputs clock(bool comparator_high) {
+    ControlOutputs outputs;
+    clock(state_, comparator_high, [&outputs](const ControlOutputs& o) { outputs = o; });
+    return outputs;
+  }
+
+  /// clock() on an explicit state, handing the outputs to `apply` instead
+  /// of returning them. `apply` is called exactly once, from the branch
+  /// that decided the outputs, so an inlining caller sees them as
+  /// constants and runs only the datapath work this clock needs. Inline:
+  /// this runs once per ADC clock, millions of times per production batch.
+  template <class Apply>
+  void clock(State& s, bool comparator_high, Apply&& apply) const {
     ControlOutputs out;
-    out.busy = phase_ != ConvPhase::kIdle && phase_ != ConvPhase::kDone;
-    if (frozen()) {
+    out.busy = s.phase != ConvPhase::kIdle && s.phase != ConvPhase::kDone;
+    if (frozen(s)) {
       // A stuck control circuit holds its current signals forever.
-      out.connect_input = phase_ == ConvPhase::kIntegrate;
-      out.connect_ref = phase_ == ConvPhase::kDeintegrate;
-      return out;
+      out.connect_input = s.phase == ConvPhase::kIntegrate;
+      out.connect_ref = s.phase == ConvPhase::kDeintegrate;
+      apply(out);
+      return;
     }
-    switch (phase_) {
+    switch (s.phase) {
       case ConvPhase::kIdle:
       case ConvPhase::kDone:
-        break;
+        apply(out);
+        return;
       case ConvPhase::kAutoZero:
         // One clock of auto-zero: clear the counter, reset the integrator
         // (the analogue reset switch is driven by counter_clear here).
         out.counter_clear = true;
-        phase_ = ConvPhase::kIntegrate;
-        phase_clocks_ = 0;
-        break;
+        s.phase = ConvPhase::kIntegrate;
+        s.phase_clocks = 0;
+        apply(out);
+        return;
       case ConvPhase::kIntegrate:
         out.connect_input = true;
-        ++phase_clocks_;
-        if (phase_clocks_ >= integrate_counts_) {
-          phase_ = ConvPhase::kDeintegrate;
-          phase_clocks_ = 0;
+        ++s.phase_clocks;
+        if (s.phase_clocks >= integrate_counts_) {
+          s.phase = ConvPhase::kDeintegrate;
+          s.phase_clocks = 0;
         }
-        break;
+        apply(out);
+        return;
       case ConvPhase::kDeintegrate:
         out.connect_ref = true;
-        out.counter_enable = true;
-        ++deint_clocks_;
+        ++s.deint_clocks;
         if (comparator_high) {
-          out.counter_enable = false;
           out.latch_strobe = true;
-          phase_ = ConvPhase::kDone;
-        } else if (deint_clocks_ >= timeout_counts_) {
-          timed_out_ = true;
+          s.phase = ConvPhase::kDone;
+          apply(out);
+        } else if (s.deint_clocks >= timeout_counts_) {
+          s.timed_out = true;
+          out.counter_enable = true;
           out.latch_strobe = true;
-          phase_ = ConvPhase::kDone;
+          s.phase = ConvPhase::kDone;
+          apply(out);
+        } else {
+          out.counter_enable = true;
+          apply(out);
         }
-        break;
+        return;
     }
-    return out;
+    apply(out);
   }
 
-  ConvPhase phase() const { return phase_; }
-  bool done() const { return phase_ == ConvPhase::kDone; }
+  ConvPhase phase() const { return state_.phase; }
+  bool done() const { return state_.phase == ConvPhase::kDone; }
   /// True when de-integration hit the timeout (no comparator trip).
-  bool timed_out() const { return timed_out_; }
+  bool timed_out() const { return state_.timed_out; }
   /// Clocks spent in the de-integration phase so far.
-  std::uint32_t deintegrate_clocks() const { return deint_clocks_; }
+  std::uint32_t deintegrate_clocks() const { return state_.deint_clocks; }
 
  private:
   std::uint32_t integrate_counts_;
   std::uint32_t timeout_counts_;
   ControlFaults faults_;
-  ConvPhase phase_ = ConvPhase::kIdle;
-  std::uint32_t phase_clocks_ = 0;
-  std::uint32_t deint_clocks_ = 0;
-  bool timed_out_ = false;
+  State state_;
 
-  bool frozen() const { return faults_.stuck_phase && phase_ == *faults_.stuck_phase; }
+  bool frozen(const State& s) const {
+    return faults_.stuck_phase && s.phase == *faults_.stuck_phase;
+  }
 };
 
 /// Result of a monotonicity scan over a code sequence.

@@ -5,21 +5,10 @@
 namespace msbist::digital {
 
 OutputLatch::OutputLatch(unsigned bits, LatchFaults faults)
-    : bits_(bits), faults_(faults) {
+    : bits_(bits), faults_(faults), mask_(bits >= 32 ? ~0u : ((1u << bits) - 1u)) {
   if (bits_ == 0 || bits_ > 32) {
     throw std::invalid_argument("OutputLatch: bits must be in [1, 32]");
   }
-}
-
-void OutputLatch::load(std::uint32_t value) {
-  if (faults_.load_disabled) return;
-  const std::uint32_t mask =
-      bits_ >= 32 ? ~0u : ((1u << bits_) - 1u);
-  value_ = value & mask;
-}
-
-std::uint32_t OutputLatch::q() const {
-  return (value_ | faults_.stuck_high_mask) & ~faults_.stuck_low_mask;
 }
 
 }  // namespace msbist::digital

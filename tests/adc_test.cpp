@@ -2,11 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "adc/dual_slope.h"
 #include "adc/metrics.h"
 #include "adc/sigma_delta.h"
+#include "analog/comparator.h"
 #include "analog/macro.h"
+#include "analog/sc_integrator.h"
+#include "core/device.h"
+#include "digital/counter.h"
+#include "digital/fsm.h"
+#include "digital/latch.h"
 
 namespace msbist::adc {
 namespace {
@@ -164,6 +173,244 @@ TEST(DualSlope, NoiseIsSeededAndReproducible) {
   }
 }
 
+// --- Lockstep conversions (convert_many) ---
+
+// The one-conversion-at-a-time loop DualSlopeAdc::convert ran before
+// conversions were stepped in lockstep: fresh sub-macro objects per
+// conversion, one clock at a time. The oracle for convert_many.
+class PerObjectOracle {
+ public:
+  explicit PerObjectOracle(const DualSlopeAdcConfig& cfg)
+      : cfg_(cfg), noise_rng_(cfg.noise_seed) {}
+
+  ConversionResult convert(double vin) {
+    const double t_clk = 1.0 / cfg_.clock_hz;
+    analog::ScIntegratorModel integrator(cfg_.integrator);
+    analog::ComparatorModel comparator(cfg_.comparator);
+    digital::BinaryCounter counter(kAdcCounterBits, cfg_.counter_faults);
+    digital::OutputLatch latch(kAdcLatchBits, cfg_.latch_faults);
+    digital::DualSlopeControl control(cfg_.integrate_counts, cfg_.timeout_counts,
+                                      cfg_.control_faults);
+    std::normal_distribution<double> noise_dist(0.0, 1.0);
+    const double noise =
+        cfg_.comparator_noise_v > 0.0 ? cfg_.comparator_noise_v * noise_dist(noise_rng_)
+                                      : (noise_dist(noise_rng_), 0.0);
+    ConversionResult res;
+    control.start();
+    comparator.reset(false);
+    const std::uint64_t max_cycles =
+        2ull + cfg_.integrate_counts + cfg_.timeout_counts + 8ull;
+    const double g = 1.0;
+    for (std::uint64_t cycle = 0; cycle < max_cycles; ++cycle) {
+      const bool comp_high =
+          comparator.step(cfg_.comparator_threshold + noise, integrator.output(),
+                          t_clk) > 2.5;
+      const digital::ControlOutputs out = control.clock(comp_high);
+      if (out.counter_clear) {
+        counter.clear();
+        integrator.reset(cfg_.comparator_threshold + cfg_.pedestal_v);
+      }
+      counter.set_enable(out.counter_enable);
+      if (out.connect_input) {
+        integrator.update(g * (cfg_.vref - vin));
+      } else if (out.connect_ref) {
+        integrator.update(g * cfg_.vref, /*invert=*/true);
+      }
+      if (out.counter_enable) counter.clock();
+      res.integrator_peak_v = std::max(res.integrator_peak_v, integrator.output());
+      if (out.latch_strobe) {
+        latch.load(counter.count());
+        res.completed = true;
+        res.conversion_time_s = static_cast<double>(cycle + 1) * t_clk;
+        break;
+      }
+    }
+    res.code = latch.q();
+    res.timed_out = control.timed_out();
+    res.fall_time_s = static_cast<double>(control.deintegrate_clocks()) * t_clk;
+    return res;
+  }
+
+ private:
+  DualSlopeAdcConfig cfg_;
+  std::mt19937_64 noise_rng_;
+};
+
+void expect_same(const ConversionResult& got, const ConversionResult& want,
+                 const std::string& where) {
+  EXPECT_EQ(got.code, want.code) << where;
+  EXPECT_EQ(got.conversion_time_s, want.conversion_time_s) << where;
+  EXPECT_EQ(got.fall_time_s, want.fall_time_s) << where;
+  EXPECT_EQ(got.integrator_peak_v, want.integrator_peak_v) << where;
+  EXPECT_EQ(got.timed_out, want.timed_out) << where;
+  EXPECT_EQ(got.completed, want.completed) << where;
+}
+
+struct NamedConfig {
+  std::string name;
+  DualSlopeAdcConfig cfg;
+};
+
+std::vector<NamedConfig> fault_matrix() {
+  const DualSlopeAdcConfig base = DualSlopeAdcConfig::characterized();
+  std::vector<NamedConfig> m;
+  m.push_back({"characterized", base});
+  m.push_back({"ideal", DualSlopeAdcConfig::ideal()});
+  for (unsigned bit : {2u, 8u}) {
+    for (bool high : {false, true}) {
+      DualSlopeAdcConfig c = base;
+      c.counter_faults.stuck_bit = bit;
+      c.counter_faults.stuck_bit_high = high;
+      m.push_back({"counter stuck bit " + std::to_string(bit) + (high ? " high" : " low"), c});
+    }
+  }
+  {
+    DualSlopeAdcConfig c = base;
+    c.counter_faults.miss_every = 3;
+    m.push_back({"counter miss_every 3", c});
+  }
+  {
+    DualSlopeAdcConfig c = base;
+    c.latch_faults.stuck_high_mask = 0x41;
+    c.latch_faults.stuck_low_mask = 0x6;
+    m.push_back({"latch masks", c});
+  }
+  {
+    DualSlopeAdcConfig c = base;
+    c.latch_faults.load_disabled = true;
+    m.push_back({"latch load disabled", c});
+  }
+  for (digital::ConvPhase phase :
+       {digital::ConvPhase::kIdle, digital::ConvPhase::kAutoZero,
+        digital::ConvPhase::kIntegrate, digital::ConvPhase::kDeintegrate,
+        digital::ConvPhase::kDone}) {
+    DualSlopeAdcConfig c = base;
+    c.control_faults.stuck_phase = phase;
+    m.push_back({"control stuck phase " + std::to_string(static_cast<int>(phase)), c});
+  }
+  {
+    DualSlopeAdcConfig c = base;
+    c.comparator.delay_s = 25e-6;
+    c.comparator.hysteresis_v = 4e-3;
+    m.push_back({"comparator delay + hysteresis", c});
+  }
+  {
+    DualSlopeAdcConfig c = base;
+    c.integrator.leak = 2e-4;
+    c.integrator.nonlinearity = 0.03;
+    c.integrator.offset_per_cycle = 1e-4;
+    m.push_back({"integrator leak + nonlinearity + offset", c});
+  }
+  return m;
+}
+
+TEST(DualSlopeLockstep, MatchesPerObjectOracleAcrossFaultMatrix) {
+  // Block widths around the lane width: a single lane, a partial block,
+  // exactly one full block, and a full block plus a partial one.
+  const std::size_t widths[] = {1, 3, DualSlopeAdc::kLanes, DualSlopeAdc::kLanes + 5};
+  for (const NamedConfig& nc : fault_matrix()) {
+    for (std::size_t width : widths) {
+      // Inputs from below 0 V (down to the de-integration timeout) to
+      // above vref, in a scrambled order so neighbouring lanes differ.
+      std::vector<double> vin(width);
+      for (std::size_t i = 0; i < width; ++i) {
+        const double frac = static_cast<double>((i * 7) % width) /
+                            static_cast<double>(std::max<std::size_t>(width - 1, 1));
+        vin[i] = -1.6 + 4.4 * frac;
+      }
+      DualSlopeAdc adc(nc.cfg);
+      PerObjectOracle oracle(nc.cfg);
+      std::vector<ConversionResult> got(width);
+      adc.convert_many(vin, got);
+      for (std::size_t i = 0; i < width; ++i) {
+        expect_same(got[i], oracle.convert(vin[i]),
+                    nc.name + ", width " + std::to_string(width) + ", lane " +
+                        std::to_string(i) + ", vin " + std::to_string(vin[i]));
+      }
+      // The noise stream ends where the sequential loop leaves it.
+      expect_same(adc.convert(0.37), oracle.convert(0.37),
+                  nc.name + ", width " + std::to_string(width) + ", next conversion");
+    }
+  }
+}
+
+TEST(DualSlopeLockstep, TimeoutPathIsCovered) {
+  // The equivalence test's lowest input must reach the timeout branch.
+  DualSlopeAdc adc(DualSlopeAdcConfig::characterized());
+  const ConversionResult r = adc.convert(-1.6);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_TRUE(r.completed);
+}
+
+TEST(DualSlopeLockstep, EmptyBlockDrawsNoNoise) {
+  DualSlopeAdc a(DualSlopeAdcConfig::characterized());
+  DualSlopeAdc b(DualSlopeAdcConfig::characterized());
+  a.convert_many({}, {});
+  expect_same(a.convert(0.5), b.convert(0.5), "after an empty block");
+}
+
+TEST(DualSlopeLockstep, SizeMismatchThrows) {
+  DualSlopeAdc adc(DualSlopeAdcConfig::ideal());
+  const std::vector<double> vin(3, 1.0);
+  std::vector<ConversionResult> out(2);
+  EXPECT_THROW(adc.convert_many(vin, out), std::invalid_argument);
+}
+
+// --- Full-spec characterization (core::Device::characterize) ---
+
+TEST(Characterization, PinsExperimentsE5MeasuredColumn) {
+  // EXPERIMENTS.md E5, "measured" column, at its printed precision.
+  core::Device die = core::Device::fabricate(0);
+  const AdcMetrics m = die.characterize();
+  EXPECT_NEAR(std::abs(m.offset_lsb), 0.17, 0.005);
+  EXPECT_NEAR(std::abs(m.gain_error_lsb), 0.43, 0.005);
+  EXPECT_NEAR(m.max_abs_inl, 1.32, 0.005);
+  EXPECT_NEAR(m.max_abs_dnl, 1.21, 0.005);
+}
+
+TEST(Characterization, CounterFaultedDieEndsInBoundedTime) {
+  // A stuck-high counter bit pushes codes past the axis origin
+  // (full-scale code + 40). The axis is a double, so such codes land
+  // below zero instead of wrapping to ~4.29e9 and flooding the ramp
+  // with billions of transitions. The die either yields metrics or is
+  // rejected as unmeasurable.
+  for (unsigned bit : {8u, 9u}) {
+    for (std::uint64_t seed : {0ull, 7ull}) {
+      DualSlopeAdcConfig cfg = DualSlopeAdcConfig::characterized();
+      cfg.counter_faults.stuck_bit = bit;
+      cfg.counter_faults.stuck_bit_high = true;
+      core::Device die(seed, cfg);
+      try {
+        const AdcMetrics m = die.characterize();
+        EXPECT_LT(m.inl_lsb.size(), 2000u) << "bit " << bit << ", seed " << seed;
+      } catch (const std::invalid_argument&) {
+        // Too few upward transitions to measure: a legitimate rejection.
+      }
+    }
+  }
+}
+
+TEST(Characterization, LockstepRampMatchesTransferFnRamp) {
+  // Device::characterize converts the whole ramp in one convert_many
+  // block; the AdcTransferFn path converts it point by point. Same die,
+  // same noise stream: identical transitions.
+  core::Device die = core::Device::fabricate(0);
+  DualSlopeAdc adc(die.adc().config());
+  const std::uint32_t full = adc.full_scale_code();
+  const AdcTransferFn xfer = [&](double v) -> std::uint32_t {
+    return full + 40u - adc.code_for(v);
+  };
+  const TransitionLevels tl = measure_transitions_ramp(xfer, -0.008, 1.012, 0.001, 1);
+  const double lsb = adc.lsb_volts();
+  const AdcMetrics want =
+      compute_metrics(tl, lsb, (static_cast<double>(tl.base_code) - 40.0 + 0.5) * lsb);
+  const AdcMetrics got = die.characterize();
+  EXPECT_EQ(got.inl_lsb, want.inl_lsb);
+  EXPECT_EQ(got.dnl_lsb, want.dnl_lsb);
+  EXPECT_EQ(got.offset_lsb, want.offset_lsb);
+  EXPECT_EQ(got.gain_error_lsb, want.gain_error_lsb);
+}
+
 // --- Metrics ---
 
 // Ascending ideal quantizer for metric tests: code = floor(v / lsb).
@@ -272,6 +519,50 @@ TEST(Metrics, NonMonotonicTransferIsFlaggedWithReverseTransitions) {
   ASSERT_EQ(tl.transitions.size(), 5u);
   EXPECT_NEAR(tl.transitions[2], 0.3, 0.005);
   EXPECT_NEAR(tl.transitions[3], 0.4, 0.005);
+}
+
+TEST(Metrics, RampPointsStepByIndexAndKeepExactEndpoint) {
+  const std::vector<double> v = ramp_points(0.0, 2.5, 0.1);
+  ASSERT_EQ(v.size(), 26u);
+  EXPECT_EQ(v.front(), 0.0);
+  EXPECT_EQ(v[7], 7.0 * 0.1);
+  EXPECT_LE(v.back(), 2.5);
+  EXPECT_NEAR(v.back(), 2.5, 1e-12);
+  EXPECT_EQ(ramp_points(0.001, 0.251, 0.1).size(), 3u);
+  EXPECT_THROW(ramp_points(1.0, 0.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(ramp_points(0.0, 1.0, 0.0), std::invalid_argument);
+}
+
+TEST(Metrics, TransitionsFromRampMatchesTransferFnOverload) {
+  // Averaged samples are taken point by point: the wrapper's k-th call
+  // is sample (k % 4) of ramp point k / 4.
+  const double lsb = 0.01;
+  int calls = 0;
+  AdcTransferFn flicker = [&](double v) {
+    const double dither = 0.3 * static_cast<double>(calls++ % 4) * lsb;
+    return static_cast<std::uint32_t>(std::max(0.0, std::floor((v + dither) / lsb)));
+  };
+  const TransitionLevels via_fn = measure_transitions_ramp(flicker, 0.001, 0.2, lsb / 10.0, 4);
+
+  const std::vector<double> volts = ramp_points(0.001, 0.2, lsb / 10.0);
+  std::vector<double> means;
+  for (double v : volts) {
+    double acc = 0.0;
+    for (int s = 0; s < 4; ++s) {
+      acc += std::max(0.0, std::floor((v + 0.3 * static_cast<double>(s) * lsb) / lsb));
+    }
+    means.push_back(acc / 4.0);
+  }
+  const TransitionLevels direct = transitions_from_ramp(volts, means);
+  EXPECT_EQ(direct.base_code, via_fn.base_code);
+  EXPECT_EQ(direct.transitions, via_fn.transitions);
+  EXPECT_EQ(direct.reverse_transitions, via_fn.reverse_transitions);
+  EXPECT_EQ(direct.monotonic, via_fn.monotonic);
+  EXPECT_GE(direct.transitions.size(), 15u);
+
+  const std::vector<double> one_short(means.begin(), means.end() - 1);
+  EXPECT_THROW(transitions_from_ramp(volts, one_short), std::invalid_argument);
+  EXPECT_THROW(transitions_from_ramp({}, {}), std::invalid_argument);
 }
 
 TEST(Metrics, MonotonicSweepKeepsFlagTrue) {

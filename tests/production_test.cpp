@@ -7,7 +7,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/crc32.h"
 #include "core/device.h"
+#include "core/json_value.h"
 #include "production/batch.h"
 
 namespace {
@@ -121,6 +123,32 @@ TEST(ProductionBatch, PaperPopulationPassesFullPlan) {
   // Distributions cover all ten dies.
   EXPECT_EQ(rep.offset_lsb.count, 10u);
   EXPECT_GT(rep.offset_lsb.sigma, 0.0);
+}
+
+TEST(ProductionBatch, PaperLotFullSpecReportIsPinned) {
+  // The paper's 10-die lot (E4/E5) under all four tiers plus the
+  // full-spec characterization. Every conversion, tier verdict and metric
+  // lands in the report, so a drift anywhere in the ADC or BIST models
+  // changes its digest. Recorded from the one-conversion-at-a-time
+  // converter, before conversions were stepped in lockstep.
+  production::TestPlan plan;
+  plan.full_spec = true;
+  const production::BatchReport rep =
+      production::run_batch(production::paper_population(), plan);
+  core::JsonValue doc = core::parse_json(core::to_json(rep));
+  doc.erase("wall_seconds");
+  doc.erase("cpu_seconds");
+  doc.erase("devices_per_second");
+  core::JsonValue devices = core::JsonValue::array();
+  for (core::JsonValue d : doc.find("devices")->items()) {
+    d.erase("elapsed_seconds");
+    devices.push_back(std::move(d));
+  }
+  doc.set("devices", std::move(devices));
+  const std::string text = doc.dump();
+  EXPECT_EQ(rep.passed, 10u);
+  EXPECT_EQ(text.size(), 16477u);
+  EXPECT_EQ(core::crc32_hex(core::crc32(text)), "868aa5db");
 }
 
 TEST(ProductionBatch, CustomTestFnIsUsedAndThreadInvariant) {
