@@ -18,8 +18,7 @@
 // shown by the printed comparison (best of 3 runs per path); CI gates
 // the individual timings via tools/bench-compare.py. Verdicts are
 // cross-checked die-for-die: each lockstep lane is bit-identical to a
-// scalar sparse-backend transient of its netlist, so both paths must
-// agree exactly.
+// scalar transient of its netlist, so both paths must agree exactly.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -117,7 +116,6 @@ production::BatchReport run_scalar(const std::vector<production::DieSpec>& dies)
     t.dt = opts.dt;
     t.t_stop = opts.t_stop;
     t.newton = opts.newton;
-    t.newton.backend = circuit::SolverBackend::kSparse;
     const circuit::TransientResult r = circuit::transient(n, t);
     production::DeviceOutcome out;
     out.seed = spec.seed;

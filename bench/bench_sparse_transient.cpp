@@ -1,23 +1,25 @@
-// Sparse vs dense MNA backend on the macro-array transient.
+// The sparse MNA path on two transient workloads, plus a closed-form
+// agreement check.
 //
-// The workload is a bus-fed RC macro array — the topology family the
-// collapse bench and the sparse-backend tests share — sized to 98 MNA
-// unknowns (94 cells + stim/bus/out + one source branch). At that size
-// each dense LU factorization is O(n^3) over a matrix that is ~97% zeros;
-// the sparse backend's fill-reduced factorization touches only the
-// structural nonzeros and the per-step solve only the L/U pattern.
+// BM_MacroArrayTransient is a bus-fed RC macro array — the topology
+// family the collapse bench and the sparse-backend tests share — sized
+// to 98 MNA unknowns (94 cells + stim/bus/out + one source branch): a
+// constant matrix factored once, then 500 forward/back substitutions.
+// BM_Circuit2Transient is the fault campaign's kernel: one golden
+// Figure 4 circuit-2 run (27 unknowns, nonlinear, a pivot replay per
+// Newton iteration). CI gates both timings through tools/bench-compare.py.
 //
-// The acceptance gate for PR 7 is sparse >= 3x dense on this workload,
-// checked by the printed speedup (CI gates the individual timings through
-// tools/bench-compare.py). Waveforms agree to < 1e-9 relative — assembly
-// is shared between the backends, only elimination order differs — and
-// the max relative difference is printed alongside.
+// Before the micro-benchmarks, main prints how far a single-RC step
+// response lies from the exact discrete backward-Euler and trapezoidal
+// recurrences (gate: <= 1e-12 relative; tests/sparse_backend_test.cpp
+// asserts the same oracle on a 3-stage ladder too).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,9 +27,12 @@
 #include "circuit/netlist.h"
 #include "circuit/solver.h"
 #include "circuit/transient.h"
+#include "circuit/waveform.h"
+#include "tsrt/transient_test.h"
 
 namespace {
 
+using namespace msbist;
 using namespace msbist::circuit;
 
 constexpr std::size_t kCells = 94;  // 98 MNA unknowns
@@ -49,63 +54,87 @@ void build_macro_array(Netlist& n) {
   }
 }
 
-TransientResult run_array(SolverBackend backend) {
+TransientResult run_array() {
   Netlist n;
   build_macro_array(n);
   TransientOptions opts;
   opts.dt = 100e-9;
   opts.t_stop = 50e-6;  // 500 steps
-  opts.newton.backend = backend;
   return transient(n, opts);
 }
 
-void print_agreement_and_speedup() {
-  using clock = std::chrono::steady_clock;
+/// 0 at t <= 0, 1 V after: the DC point is all zeros.
+class UnitStep final : public Waveform {
+ public:
+  double value(double t) const override { return t > 0.0 ? 1.0 : 0.0; }
+};
 
-  const auto t0 = clock::now();
-  const TransientResult dense = run_array(SolverBackend::kDense);
-  const auto t1 = clock::now();
-  const TransientResult sparse = run_array(SolverBackend::kSparse);
-  const auto t2 = clock::now();
+/// Worst relative difference between a simulated single-RC step response
+/// and the exact discrete recurrence of its integration method (gmin on
+/// the capacitor node included).
+double rc_recurrence_gap(Integration method) {
+  constexpr double kR = 1e3, kC = 1e-6, kDt = 20e-6;
+  constexpr std::size_t kSteps = 500;
+  Netlist n;
+  const NodeId in = n.node("in");
+  const NodeId out = n.node("out");
+  n.add<VoltageSource>(in, kGround, std::make_shared<UnitStep>());
+  n.add<Resistor>(in, out, kR);
+  n.add<Capacitor>(out, kGround, kC);
+  TransientOptions opts;
+  opts.dt = kDt;
+  opts.t_stop = kDt * kSteps;
+  opts.method = method;
+  const std::vector<double> v = transient(n, opts).voltage("out");
 
-  double worst = 0.0;
-  const std::vector<double>& dv = dense.voltage("out");
-  const std::vector<double>& sv = sparse.voltage("out");
-  for (std::size_t i = 0; i < dv.size() && i < sv.size(); ++i) {
-    const double scale = std::max({std::abs(dv[i]), std::abs(sv[i]), 1e-12});
-    worst = std::max(worst, std::abs(dv[i] - sv[i]) / scale);
+  const double g = 1.0 / kR;
+  const double gmin = opts.newton.gmin;
+  const bool trap = method == Integration::kTrapezoidal;
+  const double geq = (trap ? 2.0 : 1.0) * kC / kDt;
+  double prev = 0.0, hist = 0.0, worst = 0.0;
+  for (std::size_t k = 1; k <= kSteps && k < v.size(); ++k) {
+    const double next = (g + geq * prev + hist) / (g + gmin + geq);
+    if (trap) hist = geq * (next - prev) - hist;
+    prev = next;
+    worst = std::max(worst, std::abs(v[k] - next) / std::abs(next));
   }
-  const double dense_s = std::chrono::duration<double>(t1 - t0).count();
-  const double sparse_s = std::chrono::duration<double>(t2 - t1).count();
-  std::printf(
-      "sparse vs dense, %zu-unknown macro array, 500 steps:\n"
-      "  dense %.3f ms   sparse %.3f ms   speedup %.2fx (gate: >= 3x)\n"
-      "  max relative waveform difference %.3g (gate: < 1e-9)\n\n",
-      kCells + 4, dense_s * 1e3, sparse_s * 1e3, dense_s / sparse_s, worst);
+  return worst;
 }
 
-void run_backend(benchmark::State& state, SolverBackend backend) {
+void print_closed_form_agreement() {
+  std::printf(
+      "single RC step vs its exact discrete recurrence, 500 steps:\n"
+      "  backward Euler max relative difference %.3g (gate: <= 1e-12)\n"
+      "  trapezoidal    max relative difference %.3g (gate: <= 1e-12)\n\n",
+      rc_recurrence_gap(Integration::kBackwardEuler),
+      rc_recurrence_gap(Integration::kTrapezoidal));
+}
+
+void BM_MacroArrayTransient(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_array(backend));
+    benchmark::DoNotOptimize(run_array());
   }
   state.counters["unknowns"] = static_cast<double>(kCells + 4);
   state.counters["steps"] = 500;
 }
+BENCHMARK(BM_MacroArrayTransient)->Unit(benchmark::kMillisecond);
 
-void BM_MacroArrayTransient_Dense(benchmark::State& state) {
-  run_backend(state, SolverBackend::kDense);
+/// The fault-campaign kernel: one golden Figure 4 circuit-2 run (SC
+/// integrator + comparator, 27 MNA unknowns, backward Euler, 8000 steps)
+/// including stimulus generation and correlation.
+void BM_Circuit2Transient(benchmark::State& state) {
+  const tsrt::CircuitKind kind = tsrt::CircuitKind::kScIntegratorComparator;
+  const tsrt::TsrtOptions opts = tsrt::paper_options(kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tsrt::run_transient_test(kind, std::nullopt, opts));
+  }
 }
-BENCHMARK(BM_MacroArrayTransient_Dense)->Unit(benchmark::kMillisecond);
-
-void BM_MacroArrayTransient_Sparse(benchmark::State& state) {
-  run_backend(state, SolverBackend::kSparse);
-}
-BENCHMARK(BM_MacroArrayTransient_Sparse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Circuit2Transient)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_agreement_and_speedup();
+  print_closed_form_agreement();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -4,11 +4,12 @@
 // A Monte-Carlo population differs only in element *values* — every die
 // has the same nodes, the same elements, the same MNA footprint. Running
 // the dies one at a time repeats all the work that depends only on the
-// shared structure: symbolic sparse analysis, pivot-order discovery, and
-// (densely) a full O(n^3) factorization per die. The batch engine does
+// shared structure: stamp discovery, symbolic sparse analysis, and
+// pivot-order discovery. The batch engine does
 // that structural work once and keeps only the per-die numerics:
 //
-//   * one stamp-discovery pass and one sparse pattern (variant 0);
+//   * one stamp-discovery pass and one slot map (variant 0), the same
+//     stamp-to-slot map the scalar SolverWorkspace builds (workspace.h);
 //   * one symbolic analysis + pivoting factorization (variant 0), whose
 //     column order and pivot sequence every variant then shares;
 //   * one dsp::BatchSparseLu numeric refactorization over an entry-major
@@ -32,7 +33,7 @@
 // dsp::BatchSparseLu, so a poisoned lane can never contaminate another.
 //
 // Determinism: each lane performs the same floating-point operations in
-// the same order as a scalar sparse-backend transient of its netlist, so
+// the same order as a scalar transient of its netlist, so
 // per-variant waveforms are bit-identical to the one-die-at-a-time run
 // (locked by tests).
 #pragma once
@@ -54,10 +55,7 @@ struct BatchTransientOptions {
   double t_start = 0.0;  ///< start time [s]
   Integration method = Integration::kTrapezoidal;
   bool use_initial_conditions = false;  ///< skip the DC point; honor cap ICs
-  /// Seeds the per-variant DC operating point and supplies gmin. The
-  /// backend field is ignored: the batch engine (including the scalar
-  /// seed solves) is sparse by construction, which keeps each lane
-  /// bit-identical to a scalar sparse-backend transient of its netlist.
+  /// Supplies gmin for the per-variant DC seed and march systems.
   NewtonOptions newton;
   /// Run the ERC once on variant 0 (all variants share its topology).
   bool erc = true;

@@ -52,11 +52,11 @@ struct DcOptions {
   /// in place (e.g. the swept source). When non-empty, the sweep marks
   /// those elements forced-dynamic in its solver workspace
   /// (SolverWorkspace::set_forced_dynamic) instead of invalidating every
-  /// cache at every point: the cached base matrix, stamp classification,
-  /// and sparse symbolic analysis survive the whole sweep, and only the
-  /// swept elements re-stamp per iteration. Results are bit-identical to
-  /// the invalidate-per-point path (the keep-mask moves writes between
-  /// base and per-iteration stamping without reordering them). Every
+  /// cache at every point: the cached base values, slot map, and sparse
+  /// symbolic analysis survive the whole sweep, and only the swept
+  /// elements re-stamp per iteration. Results are bit-identical to the
+  /// invalidate-per-point path (dropped writes move between base and
+  /// per-iteration stamping without being reordered). Every
   /// element the callback touches MUST be listed — mutating an unlisted
   /// element leaves its old values baked into the cached base.
   std::vector<std::string> swept_elements;

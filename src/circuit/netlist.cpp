@@ -5,6 +5,15 @@
 
 namespace msbist::circuit {
 
+void Stamper::throw_write_count_mismatch(const Element* el) {
+  std::string who = "an element";
+  if (el != nullptr) who = el->name().empty() ? "an unnamed element" : el->name();
+  throw std::logic_error(
+      "Stamper: " + who +
+      " made a different number of matrix writes than its discovery pass "
+      "recorded; stamp() write sequences must not depend on values");
+}
+
 Netlist::Netlist() {
   static std::atomic<std::uint64_t> next{1};
   uid_ = next.fetch_add(1, std::memory_order_relaxed);

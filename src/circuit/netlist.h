@@ -18,6 +18,8 @@
 
 namespace msbist::circuit {
 
+class Element;
+
 /// Node index; kGround (-1) is the reference node and is never stamped.
 using NodeId = int;
 inline constexpr NodeId kGround = -1;
@@ -41,32 +43,49 @@ struct StampContext {
 /// kGround is silently dropped, which keeps element stamping code free of
 /// ground special cases.
 ///
-/// Two optional hooks serve the SolverWorkspace stamp cache (workspace.h):
-///  * a keep-mask (row-major, one byte per matrix entry) drops matrix
-///    writes to entries whose byte is zero — the workspace restores those
-///    from its cached base instead of re-accumulating them;
-///  * write logs record the coordinates of every attempted matrix and RHS
-///    write, which is how the workspace discovers each element's stamp
-///    footprint. RHS writes are never masked (the RHS is rebuilt every
-///    iteration).
-/// Both hooks default to off, so plain `Stamper(g, rhs)` behaves exactly
-/// as before.
+/// Matrix writes go to one of three sinks:
+///  * dense mode — accumulate into a dense matrix (AC linearization);
+///  * slot-sink mode — the SolverWorkspace hot path (workspace.h): each
+///    write lands in the CSR value slot that the next entry of the
+///    element's slot list names, or is dropped when that entry is
+///    kDropSlot. Slot lists are resolved once per analysis from a
+///    discovery pass, so a write costs one index load, never a search;
+///  * drop mode — matrix writes are discarded (discovery passes and
+///    RHS-only stamping).
+/// A write log records the coordinates of every attempted matrix and RHS
+/// write, which is how discovery learns each element's write sequence.
 class Stamper {
  public:
-  Stamper(dsp::Matrix& g, std::vector<double>& rhs) : g_(g), rhs_(rhs) {}
-  Stamper(dsp::Matrix& g, std::vector<double>& rhs, const unsigned char* keep_mask)
-      : g_(g), rhs_(rhs), keep_(keep_mask) {}
-  /// RHS-only mode: every matrix write is dropped without consulting a
-  /// mask (the constant-matrix fast path of the solver workspace).
-  struct RhsOnly {};
-  Stamper(dsp::Matrix& g, std::vector<double>& rhs, RhsOnly)
-      : g_(g), rhs_(rhs), drop_matrix_(true) {}
+  /// Slot-list entry for a write that is dropped (its matrix entry is
+  /// served from a cached base instead).
+  static constexpr std::uint32_t kDropSlot = 0xffffffffu;
+
+  /// Dense mode.
+  Stamper(dsp::Matrix& g, std::vector<double>& rhs) : g_(&g), rhs_(rhs) {}
+  /// Slot-sink mode over a CSR value array; call set_slots() before each
+  /// element's stamp().
+  Stamper(double* values, std::vector<double>& rhs)
+      : values_(values), rhs_(rhs), slot_mode_(true) {}
+  /// Drop mode: only the RHS is written.
+  explicit Stamper(std::vector<double>& rhs) : rhs_(rhs) {}
 
   /// Record every matrix / RHS write's coordinates (discovery mode).
   void set_write_log(std::vector<std::pair<int, int>>* matrix_log,
                      std::vector<int>* rhs_log) {
     log_ = matrix_log;
     rhs_log_ = rhs_log;
+  }
+
+  /// Slot-sink mode: the next element's matrix writes consume
+  /// [begin, end) in order. A write past `end` throws std::logic_error.
+  void set_slots(const std::uint32_t* begin, const std::uint32_t* end) {
+    slot_ = begin;
+    slot_end_ = end;
+  }
+  /// Throws std::logic_error unless the element consumed every slot of
+  /// its list (its write sequence changed since discovery).
+  void expect_slots_consumed(const Element& el) const {
+    if (slot_ != slot_end_) throw_write_count_mismatch(&el);
   }
 
   /// Conductance g between nodes a and b (classic 4-point stamp).
@@ -89,11 +108,13 @@ class Stamper {
   /// Raw matrix entry (row/col may be branch rows); both must be >= 0.
   void add(int row, int col, double v) {
     if (log_) log_->emplace_back(row, col);
-    if (drop_matrix_) return;
-    const std::size_t r = static_cast<std::size_t>(row);
-    const std::size_t c = static_cast<std::size_t>(col);
-    if (keep_ && !keep_[r * g_.cols() + c]) return;
-    g_(r, c) += v;
+    if (slot_mode_) {
+      if (slot_ == slot_end_) throw_write_count_mismatch(nullptr);
+      const std::uint32_t slot = *slot_++;
+      if (slot != kDropSlot) values_[slot] += v;
+    } else if (g_ != nullptr) {
+      (*g_)(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += v;
+    }
   }
 
   /// Raw RHS entry.
@@ -110,10 +131,15 @@ class Stamper {
   }
 
  private:
-  dsp::Matrix& g_;
+  /// el is nullptr when the overrun is caught mid-stamp.
+  [[noreturn]] static void throw_write_count_mismatch(const Element* el);
+
+  dsp::Matrix* g_ = nullptr;
+  double* values_ = nullptr;
   std::vector<double>& rhs_;
-  const unsigned char* keep_ = nullptr;
-  bool drop_matrix_ = false;
+  bool slot_mode_ = false;
+  const std::uint32_t* slot_ = nullptr;
+  const std::uint32_t* slot_end_ = nullptr;
   std::vector<std::pair<int, int>>* log_ = nullptr;
   std::vector<int>* rhs_log_ = nullptr;
 };
@@ -148,11 +174,15 @@ class Element {
   /// cached base matrix once per analysis instead of once per iteration.
   ///
   /// Contract for every element, invariant or not: within one analysis
-  /// (fixed StampContext::mode, dt, and method) the *set* of matrix and
-  /// RHS entries written by stamp() must not depend on t or the Newton
-  /// iterate (values may; coordinates may not), so a one-time discovery
-  /// pass sees the full footprint. All elements in this library satisfy
-  /// this by construction (their writes are guarded only by node indices).
+  /// (fixed StampContext::mode, dt, and method) the *sequence* of matrix
+  /// and RHS writes made by stamp() — how many, in what order, to which
+  /// coordinates — must not depend on t or the Newton iterate (values
+  /// may change; the sequence may not). A one-time discovery pass records
+  /// that sequence and the solver workspace resolves each matrix write to
+  /// its CSR slot by position, so the workspace throws std::logic_error
+  /// when an element's per-iteration write count differs from
+  /// discovery's. All elements in this library satisfy this by
+  /// construction (their writes are guarded only by node indices).
   virtual bool time_invariant_stamp() const { return false; }
 
   /// Number of extra MNA branch-current rows this element needs.

@@ -1,6 +1,7 @@
 // Shared Newton-Raphson MNA solver used by the DC and transient engines.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -8,20 +9,16 @@
 
 namespace msbist::circuit {
 
-/// Matrix engine used by the solver workspace for factorization/solve.
-/// The assembled system is identical either way (assembly is shared);
-/// only the elimination order differs, so dense-vs-sparse waveforms
-/// agree to roundoff (< 1e-9 relative; see DESIGN.md §13).
-enum class SolverBackend {
-  kAuto,    ///< dense below kSparseAutoThreshold unknowns, sparse at/above
-  kDense,   ///< always the dense engine (dsp::LuDecomposition)
-  kSparse,  ///< always the sparse engine (dsp::SparseLu)
+/// Solver workspace counters (SolverWorkspace::stats(), and per run via
+/// TransientResult::solver_stats()).
+struct SolverStats {
+  std::size_t binds = 0;              ///< slot-map + base rebuilds
+  std::size_t assemblies = 0;         ///< per-iteration system assemblies
+  std::size_t lu_factorizations = 0;  ///< numeric factorizations (incl. replays)
+  std::size_t lu_reuses = 0;          ///< solves served by a cached factorization
+  std::size_t sparse_refactors = 0;   ///< pivot-sequence replays (SparseLu::refactor)
+  std::size_t pivot_fallbacks = 0;    ///< replays whose pivot degenerated and re-pivoted
 };
-
-/// Unknown count at which kAuto switches to the sparse backend. Dense
-/// wins below this point (no indexing overhead, tighter inner loops);
-/// the crossover on MNA systems sits near a few dozen unknowns.
-inline constexpr std::size_t kSparseAutoThreshold = 50;
 
 struct NewtonOptions {
   int max_iterations = 500;
@@ -30,7 +27,6 @@ struct NewtonOptions {
   double gmin = 1e-12;     ///< leak conductance from every node to ground [S]
   double max_update = 0.5; ///< per-iteration voltage damping limit [V]
   int damping_retries = 3; ///< on failure retry with max_update / 4^k
-  SolverBackend backend = SolverBackend::kAuto;  ///< matrix engine selection
 };
 
 class SolverWorkspace;

@@ -146,6 +146,7 @@ TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
                          std::move(volts), std::move(branch_names),
                          std::move(currents));
   result.set_rescue(std::move(trace));
+  result.set_solver_stats(workspace.stats());
   return result;
 }
 

@@ -67,8 +67,14 @@ class TransientResult {
   const RescueTrace& rescue() const { return rescue_; }
   void set_rescue(RescueTrace trace) { rescue_ = std::move(trace); }
 
+  /// The march workspace's counters: assemblies, factorizations vs LU
+  /// reuses, pivot replays and fallbacks (the DC seed solve not included).
+  const SolverStats& solver_stats() const { return solver_stats_; }
+  void set_solver_stats(const SolverStats& stats) { solver_stats_ = stats; }
+
  private:
   RescueTrace rescue_;
+  SolverStats solver_stats_;
   std::vector<double> time_;
   std::vector<std::string> names_;
   std::vector<std::vector<double>> voltages_;  // [node][sample]

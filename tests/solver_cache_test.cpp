@@ -321,9 +321,9 @@ TEST(SolverWorkspaceTest, ForcedDynamicTracksMutationWithoutRebind) {
 
 TEST(SolverCache, DcSweepSweptElementsBitIdentical) {
   // A/B: naming the swept element (cache-preserving forced-dynamic path)
-  // must reproduce the invalidate-per-point sweep bit for bit — the
-  // keep-mask moves writes between base and per-iteration stamping but
-  // never reorders any entry's accumulation.
+  // must reproduce the invalidate-per-point sweep bit for bit — drop
+  // slots move writes between base and per-iteration stamping but never
+  // reorder any entry's accumulation.
   const std::vector<double> values = {500.0, 1e3, 2e3, 3e3, 9e3};
   const auto run_sweep = [&](bool name_swept) {
     Netlist n;

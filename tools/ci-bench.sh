@@ -19,12 +19,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_adc_characterization
 
 # Curated subset: the transient-solver trajectory benchmarks (cached vs
-# from-scratch), the 1000-die production batch, the sparse-vs-dense MNA
-# backend comparison, the lockstep Monte-Carlo screen, and the full-spec
-# ADC characterization (the lockstep dual-slope conversion kernel). Fixed
+# from-scratch), the 1000-die production batch, the sparse MNA
+# transients (98-unknown macro array, and the fault campaign's circuit-2
+# kernel), the lockstep Monte-Carlo screen, and the full-spec ADC
+# characterization (the lockstep dual-slope conversion kernel). Fixed
 # iteration counts on the batch keep the job's wall time bounded; the
-# sparse/lockstep mains also print their PR-7 acceptance comparisons
-# (>= 3x sparse-over-dense, >= 2x lockstep-over-scalar) to the job log.
+# sparse/lockstep mains also print their acceptance lines (single-RC
+# closed-form agreement <= 1e-12, >= 2x lockstep-over-scalar) to the
+# job log.
 "$BUILD_DIR"/bench/bench_step_response \
   --benchmark_filter='LinearIntegratorTransient|SingleConversion' \
   --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_step.json \
