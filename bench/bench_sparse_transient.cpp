@@ -85,7 +85,8 @@ double rc_recurrence_gap(Integration method) {
   opts.dt = kDt;
   opts.t_stop = kDt * kSteps;
   opts.method = method;
-  const std::vector<double> v = transient(n, opts).voltage("out");
+  const TransientResult res = transient(n, opts);
+  const WaveformView v = res.voltage("out");
 
   const double g = 1.0 / kR;
   const double gmin = opts.newton.gmin;

@@ -23,8 +23,7 @@ struct Lane {
   std::vector<double> rhs;
   std::vector<const Element*> rhs_elements;  ///< elements with RHS writes
   std::vector<Element*> stateful;            ///< elements with history
-  std::vector<std::string> branch_names;
-  std::vector<int> branch_rows;
+  std::vector<double> states;  ///< [sample][unknown]: the lane's result
 };
 
 /// Assemble one variant's whole system from scratch through the shared
@@ -114,6 +113,14 @@ BatchTransientReport BatchTransient::run(
             " has a nonlinear or time-varying matrix stamp; the lockstep "
             "engine requires fully static variant matrices");
       }
+      // Every lane's result reads its branch currents through variant 0's
+      // layout, so branch elements must carry the same names.
+      if (el->branch_count() > 0 &&
+          el->name() != variants[0]->elements()[i]->name()) {
+        throw std::invalid_argument(
+            "batch_transient: variant " + std::to_string(v) + " element " +
+            std::to_string(i) + " names its branch differently than variant 0");
+      }
     }
     (v == 0 ? log0 : log).record(*variants[v], discovery, unknowns);
     if (v > 0 && log != log0) {
@@ -137,10 +144,6 @@ BatchTransientReport BatchTransient::run(
       Element* el = lane.netlist->elements()[i].get();
       if (log0.writes_rhs(i)) lane.rhs_elements.push_back(el);
       if (el->has_transient_state()) lane.stateful.push_back(el);
-      if (el->branch_count() > 0 && !el->name().empty()) {
-        lane.branch_names.push_back(el->name());
-        lane.branch_rows.push_back(el->branch_base());
-      }
     }
   }
 
@@ -282,18 +285,15 @@ BatchTransientReport BatchTransient::run(
 
   const auto steps = static_cast<std::size_t>(
       std::llround((opts_.t_stop - opts_.t_start) / opts_.dt));
-  // Waveform history as one contiguous [sample][unknown] block per lane,
-  // appended with a single memcpy per step from the lane's freshly
-  // gathered state. The per-node vectors TransientResult wants are
-  // transposed out once after the march — keeping scattered writes out of
-  // the hot loop, and keeping both sides of the final transpose
-  // cache-resident (contiguous reads, ~nodes hot destination lines).
-  const std::size_t lane_stride = (steps + 1) * unknowns;
-  std::vector<double> history(lane_stride * nvar, 0.0);
-  for (std::size_t v = 0; v < nvar; ++v) {
-    if (!lanes[v].alive) continue;
-    std::copy(lanes[v].state.begin(), lanes[v].state.end(),
-              history.begin() + v * lane_stride);
+  // One layout (time grid, name -> row maps) serves every lane. Each live
+  // lane appends its state vector to its own sample-major block once per
+  // step — a contiguous copy — and that block becomes its result.
+  auto layout = std::make_shared<const WaveformLayout>(
+      *variants[0], unknowns, opts_.t_start, opts_.dt, steps);
+  for (Lane& lane : lanes) {
+    if (!lane.alive) continue;
+    lane.states.reserve((steps + 1) * unknowns);
+    lane.states.insert(lane.states.end(), lane.state.begin(), lane.state.end());
   }
 
   // The march: per-lane RHS stamps transposed into the SoA slab, one
@@ -340,11 +340,12 @@ BatchTransientReport BatchTransient::run(
                                       "lockstep solve produced NaN/Inf");
           lane.failure.has_time = true;
           lane.failure.time_s = ctx.t;
-          // Zero the column so the dead lane's values never reach the
-          // history slab or perturb the finite probe of later steps.
+          // Zero the column so the dead lane's values never perturb the
+          // finite probe of later steps; its partial history is dropped.
           for (std::size_t row = 0; row < unknowns; ++row) {
             x_soa[row * nvar + v] = 0.0;
           }
+          lane.states = std::vector<double>();
         }
       }
     }
@@ -354,8 +355,8 @@ BatchTransientReport BatchTransient::run(
       for (std::size_t row = 0; row < unknowns; ++row) {
         lane.state[row] = x_soa[row * nvar + v];
       }
-      std::copy(lane.state.begin(), lane.state.end(),
-                history.begin() + v * lane_stride + k * unknowns);
+      lane.states.insert(lane.states.end(), lane.state.begin(),
+                         lane.state.end());
       for (Element* el : lane.stateful) el->transient_accept(lane.state, ctx);
     }
   }
@@ -368,33 +369,10 @@ BatchTransientReport BatchTransient::run(
   report.stats.symbolic_analyses = shared.stats().analyses;
   report.stats.pivot_fallbacks = batch.fallback_count();
   report.variants.reserve(nvar);
-  std::vector<double> time(steps + 1);
-  for (std::size_t k = 0; k <= steps; ++k) {
-    time[k] = opts_.t_start + static_cast<double>(k) * opts_.dt;
-  }
-  for (std::size_t v = 0; v < nvar; ++v) {
-    Lane& lane = lanes[v];
+  for (Lane& lane : lanes) {
     BatchVariantOutcome out;
     if (lane.alive) {
-      std::vector<std::vector<double>> volts(
-          nodes, std::vector<double>(steps + 1, 0.0));
-      std::vector<std::vector<double>> currents(
-          lane.branch_rows.size(), std::vector<double>(steps + 1, 0.0));
-      const double* lh = history.data() + v * lane_stride;
-      for (std::size_t k = 0; k <= steps; ++k) {
-        const double* sample = lh + k * unknowns;
-        for (std::size_t n = 0; n < nodes; ++n) {
-          volts[n][k] = sample[n];
-        }
-        for (std::size_t b = 0; b < lane.branch_rows.size(); ++b) {
-          currents[b][k] =
-              sample[static_cast<std::size_t>(lane.branch_rows[b])];
-        }
-      }
-      out.result.emplace(time,
-                         std::vector<std::string>(lane.netlist->node_names()),
-                         std::move(volts), std::move(lane.branch_names),
-                         std::move(currents));
+      out.result.emplace(layout, std::move(lane.states));
     } else {
       out.failure = std::move(lane.failure);
       ++report.stats.failed_variants;

@@ -9,36 +9,52 @@
 
 namespace msbist::circuit {
 
-TransientResult::TransientResult(std::vector<double> time, std::vector<std::string> names,
-                                 std::vector<std::vector<double>> voltages,
-                                 std::vector<std::string> branch_names,
-                                 std::vector<std::vector<double>> branch_currents)
-    : time_(std::move(time)), names_(std::move(names)), voltages_(std::move(voltages)),
-      branch_names_(std::move(branch_names)),
-      branch_currents_(std::move(branch_currents)), zeros_(time_.size(), 0.0) {
-  node_index_.reserve(names_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) node_index_.emplace(names_[i], i);
-  branch_index_.reserve(branch_names_.size());
-  for (std::size_t i = 0; i < branch_names_.size(); ++i) {
-    branch_index_.emplace(branch_names_[i], i);
+WaveformLayout::WaveformLayout(const Netlist& netlist, std::size_t unknowns,
+                               double t_start, double dt, std::size_t steps)
+    : unknowns(unknowns), time(steps + 1), node_names(netlist.node_names()),
+      zeros(steps + 1, 0.0) {
+  for (std::size_t k = 0; k <= steps; ++k) {
+    time[k] = t_start + static_cast<double>(k) * dt;
+  }
+  node_rows.reserve(node_names.size());
+  for (std::size_t i = 0; i < node_names.size(); ++i) node_rows.emplace(node_names[i], i);
+  for (const auto& el : netlist.elements()) {
+    if (el->branch_count() > 0 && !el->name().empty()) {
+      branch_names.push_back(el->name());
+      branch_rows.emplace(el->name(), static_cast<std::size_t>(el->branch_base()));
+    }
   }
 }
 
-const std::vector<double>& TransientResult::current(const std::string& element_name) const {
-  const auto it = branch_index_.find(element_name);
-  if (it == branch_index_.end()) {
+TransientResult::TransientResult(std::shared_ptr<const WaveformLayout> layout,
+                                 std::vector<double> states)
+    : layout_(std::move(layout)), states_(std::move(states)) {
+  if (states_.size() != layout_->time.size() * layout_->unknowns) {
+    throw std::invalid_argument("TransientResult: state block does not match its layout");
+  }
+}
+
+WaveformView TransientResult::row(std::size_t mna_row) const {
+  return {states_.data() + mna_row, layout_->unknowns, samples()};
+}
+
+WaveformView TransientResult::current(const std::string& element_name) const& {
+  const auto it = layout_->branch_rows.find(element_name);
+  if (it == layout_->branch_rows.end()) {
     throw std::out_of_range("TransientResult: unknown branch element " + element_name);
   }
-  return branch_currents_[it->second];
+  return row(it->second);
 }
 
-const std::vector<double>& TransientResult::voltage(const std::string& node_name) const {
-  if (node_name == "0" || node_name == "gnd" || node_name == "GND") return zeros_;
-  const auto it = node_index_.find(node_name);
-  if (it == node_index_.end()) {
+WaveformView TransientResult::voltage(const std::string& node_name) const& {
+  if (node_name == "0" || node_name == "gnd" || node_name == "GND") {
+    return {layout_->zeros.data(), 1, samples()};
+  }
+  const auto it = layout_->node_rows.find(node_name);
+  if (it == layout_->node_rows.end()) {
     throw std::out_of_range("TransientResult: unknown node " + node_name);
   }
-  return voltages_[it->second];
+  return row(it->second);
 }
 
 TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
@@ -48,7 +64,6 @@ TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
   }
   if (opts.erc) analysis::enforce(netlist, "transient");
   const std::size_t unknowns = netlist.assign_unknowns();
-  const std::size_t nodes = netlist.node_count();
 
   // Initial state: operating point, or zeros + capacitor ICs.
   std::vector<double> state(unknowns, 0.0);
@@ -82,25 +97,12 @@ TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
 
   const auto steps = static_cast<std::size_t>(
       std::llround((opts.t_stop - opts.t_start) / opts.dt));
-  std::vector<double> time(steps + 1);
-  std::vector<std::vector<double>> volts(nodes, std::vector<double>(steps + 1, 0.0));
-  time[0] = opts.t_start;
-  for (std::size_t n = 0; n < nodes; ++n) volts[n][0] = state[n];
-
-  // Record branch currents for every named branch element (sources).
-  std::vector<std::string> branch_names;
-  std::vector<int> branch_rows;
-  for (const auto& el : netlist.elements()) {
-    if (el->branch_count() > 0 && !el->name().empty()) {
-      branch_names.push_back(el->name());
-      branch_rows.push_back(el->branch_base());
-    }
-  }
-  std::vector<std::vector<double>> currents(branch_names.size(),
-                                            std::vector<double>(steps + 1, 0.0));
-  for (std::size_t b = 0; b < branch_rows.size(); ++b) {
-    currents[b][0] = state[static_cast<std::size_t>(branch_rows[b])];
-  }
+  auto layout = std::make_shared<const WaveformLayout>(
+      netlist, unknowns, opts.t_start, opts.dt, steps);
+  // The run's history: one state vector appended per accepted step.
+  std::vector<double> states;
+  states.reserve((steps + 1) * unknowns);
+  states.insert(states.end(), state.begin(), state.end());
 
   StampContext ctx;
   ctx.mode = StampContext::Mode::kTransient;
@@ -134,17 +136,10 @@ TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
     if (!step_result.elements_advanced) {
       for (Element* el : stateful) el->transient_accept(state, ctx);
     }
-    time[k] = ctx.t;
-    for (std::size_t n = 0; n < nodes; ++n) volts[n][k] = state[n];
-    for (std::size_t b = 0; b < branch_rows.size(); ++b) {
-      currents[b][k] = state[static_cast<std::size_t>(branch_rows[b])];
-    }
+    states.insert(states.end(), state.begin(), state.end());
   }
 
-  TransientResult result(std::move(time),
-                         std::vector<std::string>(netlist.node_names()),
-                         std::move(volts), std::move(branch_names),
-                         std::move(currents));
+  TransientResult result(std::move(layout), std::move(states));
   result.set_rescue(std::move(trace));
   result.set_solver_stats(workspace.stats());
   return result;

@@ -7,6 +7,11 @@
 // clock edges land on step boundaries (e.g. dt = clock_period / 50).
 #pragma once
 
+#include <algorithm>
+#include <compare>
+#include <cstddef>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,28 +44,121 @@ struct TransientOptions {
   RescueOptions rescue;
 };
 
-/// Uniformly sampled simulation output. Sample k is at
-/// t_start + k * dt; sample 0 is the initial state.
+/// Where each named waveform lives in a run's sample-major state block:
+/// the time grid plus node and branch name -> MNA row. Built once per run
+/// and shared by every result of that run (every lane of a lockstep
+/// batch points at the same layout).
+struct WaveformLayout {
+  /// Layout of `netlist` (unknowns already assigned) sampled at
+  /// t_start + k * dt for k = 0..steps. Branches are the named elements
+  /// that own an MNA branch row (sources).
+  WaveformLayout(const Netlist& netlist, std::size_t unknowns, double t_start,
+                 double dt, std::size_t steps);
+
+  std::size_t unknowns;  ///< row stride of the state block
+  std::vector<double> time;
+  std::vector<std::string> node_names;    ///< node i is MNA row i
+  std::vector<std::string> branch_names;
+  std::unordered_map<std::string, std::size_t> node_rows;
+  std::unordered_map<std::string, std::size_t> branch_rows;
+  std::vector<double> zeros;              ///< the ground waveform
+};
+
+/// Read-only view of one unknown across every sample of a run: element k
+/// sits at data[k * stride]. Valid while the TransientResult it came from
+/// is alive.
+class WaveformView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using iterator_concept = std::random_access_iterator_tag;
+    using value_type = double;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const double*;
+    using reference = const double&;
+
+    iterator() = default;
+    iterator(const double* data, difference_type stride, difference_type k)
+        : data_(data), stride_(stride), k_(k) {}
+
+    reference operator*() const { return data_[k_ * stride_]; }
+    reference operator[](difference_type n) const { return data_[(k_ + n) * stride_]; }
+    iterator& operator++() { ++k_; return *this; }
+    iterator operator++(int) { iterator t = *this; ++k_; return t; }
+    iterator& operator--() { --k_; return *this; }
+    iterator operator--(int) { iterator t = *this; --k_; return t; }
+    iterator& operator+=(difference_type n) { k_ += n; return *this; }
+    iterator& operator-=(difference_type n) { k_ -= n; return *this; }
+    friend iterator operator+(iterator it, difference_type n) { return it += n; }
+    friend iterator operator+(difference_type n, iterator it) { return it += n; }
+    friend iterator operator-(iterator it, difference_type n) { return it -= n; }
+    friend difference_type operator-(const iterator& a, const iterator& b) {
+      return a.k_ - b.k_;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) { return a.k_ == b.k_; }
+    friend auto operator<=>(const iterator& a, const iterator& b) { return a.k_ <=> b.k_; }
+
+   private:
+    // Indexing from the column's first element keeps every pointer formed
+    // inside the block, even one past the last sample.
+    const double* data_ = nullptr;
+    difference_type stride_ = 1;
+    difference_type k_ = 0;
+  };
+  using const_iterator = iterator;
+
+  WaveformView(const double* data, std::size_t stride, std::size_t size)
+      : data_(data), stride_(static_cast<std::ptrdiff_t>(stride)), size_(size) {}
+
+  std::size_t size() const { return size_; }
+  double operator[](std::size_t k) const { return data_[static_cast<std::ptrdiff_t>(k) * stride_]; }
+  double front() const { return (*this)[0]; }
+  double back() const { return (*this)[size_ - 1]; }
+  iterator begin() const { return {data_, stride_, 0}; }
+  iterator end() const { return {data_, stride_, static_cast<std::ptrdiff_t>(size_)}; }
+
+  /// Element-wise ==: bit identity for finite samples.
+  friend bool operator==(const WaveformView& a, const WaveformView& b) {
+    return std::ranges::equal(a, b);
+  }
+
+ private:
+  const double* data_;
+  std::ptrdiff_t stride_;
+  std::size_t size_;
+};
+
+/// Uniformly sampled simulation output: the MNA state vector of every
+/// sample, stored sample-major (samples x unknowns) in one block. Sample k
+/// is at t_start + k * dt; sample 0 is the initial state.
 class TransientResult {
  public:
-  TransientResult(std::vector<double> time, std::vector<std::string> names,
-                  std::vector<std::vector<double>> voltages,
-                  std::vector<std::string> branch_names = {},
-                  std::vector<std::vector<double>> branch_currents = {});
+  /// states holds layout->time.size() consecutive state vectors of
+  /// layout->unknowns entries each.
+  TransientResult(std::shared_ptr<const WaveformLayout> layout,
+                  std::vector<double> states);
 
-  const std::vector<double>& time() const { return time_; }
-  double dt() const { return time_.size() > 1 ? time_[1] - time_[0] : 0.0; }
-  std::size_t samples() const { return time_.size(); }
+  const std::vector<double>& time() const { return layout_->time; }
+  double dt() const { return time().size() > 1 ? time()[1] - time()[0] : 0.0; }
+  std::size_t samples() const { return time().size(); }
 
   /// Waveform of a named node over the whole run (ground -> zeros).
-  const std::vector<double>& voltage(const std::string& node_name) const;
+  /// Throws std::out_of_range for an unknown node.
+  WaveformView voltage(const std::string& node_name) const&;
 
   /// Branch current of a named voltage-source-like element over the run
-  /// (positive flowing pos -> through the source -> neg).
-  const std::vector<double>& current(const std::string& element_name) const;
+  /// (positive flowing pos -> through the source -> neg). Throws
+  /// std::out_of_range for an unknown branch.
+  WaveformView current(const std::string& element_name) const&;
 
-  const std::vector<std::string>& node_names() const { return names_; }
-  const std::vector<std::string>& branch_names() const { return branch_names_; }
+  // A view into a temporary result would dangle.
+  WaveformView voltage(const std::string&) const&& = delete;
+  WaveformView current(const std::string&) const&& = delete;
+
+  const std::vector<std::string>& node_names() const { return layout_->node_names; }
+  const std::vector<std::string>& branch_names() const { return layout_->branch_names; }
+  const std::shared_ptr<const WaveformLayout>& layout() const { return layout_; }
 
   /// Which steps needed the ladder and how they were saved (empty for
   /// runs that never failed).
@@ -73,18 +171,12 @@ class TransientResult {
   void set_solver_stats(const SolverStats& stats) { solver_stats_ = stats; }
 
  private:
+  WaveformView row(std::size_t mna_row) const;
+
   RescueTrace rescue_;
   SolverStats solver_stats_;
-  std::vector<double> time_;
-  std::vector<std::string> names_;
-  std::vector<std::vector<double>> voltages_;  // [node][sample]
-  std::vector<std::string> branch_names_;
-  std::vector<std::vector<double>> branch_currents_;  // [branch][sample]
-  std::vector<double> zeros_;
-  // Built once in the constructor so voltage()/current() are O(1) —
-  // metric extraction probes the same few nodes thousands of times.
-  std::unordered_map<std::string, std::size_t> node_index_;
-  std::unordered_map<std::string, std::size_t> branch_index_;
+  std::shared_ptr<const WaveformLayout> layout_;
+  std::vector<double> states_;  // [sample][unknown]
 };
 
 /// Run a transient analysis. Mutates element state (capacitor history), so

@@ -17,6 +17,28 @@ std::vector<double> cross_correlate(const std::vector<double>& x,
   return convolve(xr, y);
 }
 
+std::vector<double> cross_correlate_lags(const std::vector<double>& x,
+                                         const std::vector<double>& y,
+                                         std::ptrdiff_t lag_begin,
+                                         std::ptrdiff_t lag_end) {
+  if (lag_end <= lag_begin) return {};
+  std::vector<double> r(static_cast<std::size_t>(lag_end - lag_begin), 0.0);
+  const auto nx = static_cast<std::ptrdiff_t>(x.size());
+  const auto ny = static_cast<std::ptrdiff_t>(y.size());
+  // Sample-outer, lag-inner: the inner loop walks r and y contiguously so
+  // it vectorizes, and each lag still sums its products in sample order.
+  for (std::ptrdiff_t n = 0; n < nx; ++n) {
+    const std::ptrdiff_t lo = std::max(lag_begin, -n);
+    const std::ptrdiff_t hi = std::min(lag_end, ny - n);
+    if (lo >= hi) continue;
+    const double xn = x[static_cast<std::size_t>(n)];
+    double* out = r.data() + (lo - lag_begin);
+    const double* yn = y.data() + (n + lo);
+    for (std::ptrdiff_t i = 0; i < hi - lo; ++i) out[i] += xn * yn[i];
+  }
+  return r;
+}
+
 std::vector<double> cross_correlate_normalized(const std::vector<double>& x,
                                                const std::vector<double>& y) {
   std::vector<double> r = cross_correlate(x, y);

@@ -18,6 +18,15 @@ namespace msbist::dsp {
 std::vector<double> cross_correlate(const std::vector<double>& x,
                                     const std::vector<double>& y);
 
+/// The lags [lag_begin, lag_end) of cross_correlate(x, y), summed directly:
+/// element i is R_xy[lag_begin + i] (zero where x and y do not overlap).
+/// Costs x.size() * (lag_end - lag_begin) multiply-adds, so it beats the
+/// full FFT correlation when only a narrow window of lags is wanted.
+std::vector<double> cross_correlate_lags(const std::vector<double>& x,
+                                         const std::vector<double>& y,
+                                         std::ptrdiff_t lag_begin,
+                                         std::ptrdiff_t lag_end);
+
 /// Cross-correlation normalized by the L2 norms of both inputs, so the
 /// peak of the autocorrelation of any signal is exactly 1.
 std::vector<double> cross_correlate_normalized(const std::vector<double>& x,

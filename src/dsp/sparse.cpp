@@ -367,7 +367,8 @@ void SparseLu::refactor(const SparseMatrix& a) {
   }
   const int n = static_cast<int>(n_);
   const double* av = a.values();
-  std::vector<double> x(n_, 0.0);
+  if (refactor_work_.size() != n_) refactor_work_.assign(n_, 0.0);
+  std::vector<double>& x = refactor_work_;
   for (int k = 0; k < n; ++k) {
     const int j = q_[k];
     for (int p = csc_ptr_[j]; p < csc_ptr_[j + 1]; ++p) {
@@ -389,6 +390,7 @@ void SparseLu::refactor(const SparseMatrix& a) {
       // The reused pivot degenerated for these values; redo the pivot
       // search on the same column ordering.
       ++stats_.pivot_fallbacks;
+      std::fill(x.begin(), x.end(), 0.0);
       factor_ordered(a);
       return;
     }

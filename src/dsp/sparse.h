@@ -198,6 +198,9 @@ class SparseLu {
   // buffer, so a single SparseLu must not be solved from two threads at
   // once (matches how the solver workspaces own their decompositions).
   mutable std::vector<double> solve_work_;
+  // refactor()'s dense scatter column, kept between calls so the Newton
+  // loop does not allocate. All zeros whenever refactor() is not running.
+  std::vector<double> refactor_work_;
 
   SparseLuStats stats_;
 };

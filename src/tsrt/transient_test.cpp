@@ -89,19 +89,24 @@ TsrtRun run_prepared(ExampleCircuit& c, const TsrtOptions& opts) {
   // Backward Euler: the transistor-level loops (follower, SC charge
   // transfer) are stiff; trapezoidal rings on them.
   topts.method = circuit::Integration::kBackwardEuler;
-  const circuit::TransientResult res = circuit::transient(c.netlist, topts);
 
   TsrtRun run;
   run.dt = dt;
-  run.time = res.time();
-  run.response = res.voltage(c.output_node);
-  run.supply_current.assign(run.time.size(), 0.0);
-  for (const auto& src : c.supply_sources) {
-    const auto& i = res.current(src);
-    // The VDD source's branch current is negative when the circuit draws
-    // current; flip the sign so the signature reads as consumption.
-    for (std::size_t k = 0; k < run.supply_current.size(); ++k) {
-      run.supply_current[k] -= i[k];
+  {
+    // Copy out the waveforms the signatures use, then free the run's
+    // state block (every unknown at every sample) before correlating.
+    const circuit::TransientResult res = circuit::transient(c.netlist, topts);
+    run.time = res.time();
+    const circuit::WaveformView out = res.voltage(c.output_node);
+    run.response.assign(out.begin(), out.end());
+    run.supply_current.assign(run.time.size(), 0.0);
+    for (const auto& src : c.supply_sources) {
+      const circuit::WaveformView i = res.current(src);
+      // The VDD source's branch current is negative when the circuit draws
+      // current; flip the sign so the signature reads as consumption.
+      for (std::size_t k = 0; k < run.supply_current.size(); ++k) {
+        run.supply_current[k] -= i[k];
+      }
     }
   }
   run.stimulus.resize(run.time.size());
@@ -129,20 +134,19 @@ TsrtRun run_prepared(ExampleCircuit& c, const TsrtOptions& opts) {
   // Scale by the stimulus energy only: R(y,p)/||p||^2 estimates the
   // composite impulse response with its amplitude intact (a gain fault
   // must shrink the signature, so do not normalize by the response norm).
-  std::vector<double> full = dsp::cross_correlate(p, y);
+  // Only the window around zero lag is kept: one bit of negative lag,
+  // correlation_window_bits of positive lag.
+  const auto spb = static_cast<std::ptrdiff_t>(samples_per_bit);
+  const auto n = static_cast<std::ptrdiff_t>(p.size());
+  const std::ptrdiff_t lag_lo = -std::min(n - 1, spb);
+  const auto span = static_cast<std::ptrdiff_t>(
+      (opts.correlation_window_bits + 1.0) * static_cast<double>(samples_per_bit));
+  const std::ptrdiff_t lag_hi = std::min(n, lag_lo + span);
+  run.correlation = dsp::cross_correlate_lags(p, y, lag_lo, lag_hi);
   const double penergy = dsp::dot(p, p);
   if (penergy > 0) {
-    for (double& v : full) v /= penergy;
+    for (double& v : run.correlation) v /= penergy;
   }
-  // Window around zero lag (index p.size()-1): one bit of negative lag,
-  // correlation_window_bits of positive lag.
-  const std::size_t zero = p.size() - 1;
-  const auto lo = zero - std::min(zero, samples_per_bit);
-  const auto span = static_cast<std::size_t>(
-      (opts.correlation_window_bits + 1.0) * static_cast<double>(samples_per_bit));
-  const std::size_t hi = std::min(full.size(), lo + span);
-  run.correlation.assign(full.begin() + static_cast<std::ptrdiff_t>(lo),
-                         full.begin() + static_cast<std::ptrdiff_t>(hi));
   return run;
 }
 

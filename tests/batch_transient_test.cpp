@@ -57,8 +57,7 @@ BatchTransientOptions array_options() {
   return opts;
 }
 
-double max_rel_diff(const std::vector<double>& a,
-                    const std::vector<double>& b) {
+double max_rel_diff(const WaveformView& a, const WaveformView& b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -158,6 +157,7 @@ TEST(BatchTransient, SeedFailureStaysInItsLane) {
   for (std::size_t v = 0; v < kVariants; ++v) {
     if (v == 2) {
       ASSERT_FALSE(report.variants[v].ok());
+      EXPECT_FALSE(report.variants[v].result.has_value());  // no result
       EXPECT_EQ(report.variants[v].failure->analysis, "batch_transient/seed");
     } else {
       ASSERT_TRUE(report.variants[v].ok()) << "variant " << v;
@@ -167,6 +167,46 @@ TEST(BatchTransient, SeedFailureStaysInItsLane) {
       }
     }
   }
+}
+
+TEST(BatchTransient, LanesShareOneLayout) {
+  constexpr std::size_t kVariants = 3;
+  std::vector<std::unique_ptr<Netlist>> nets;
+  std::vector<Netlist*> variants;
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    nets.push_back(std::make_unique<Netlist>());
+    build_macro_array(*nets.back(), variant_scale(v, 0.05), 1.0, 1.0);
+    variants.push_back(nets.back().get());
+  }
+  const BatchTransientReport report =
+      BatchTransient(array_options()).run(variants);
+  ASSERT_TRUE(report.variants[0].ok());
+  const TransientResult& first = *report.variants[0].result;
+  EXPECT_EQ(first.samples(), report.stats.steps + 1);
+  EXPECT_EQ(first.layout()->unknowns, report.stats.unknowns);
+  for (std::size_t v = 1; v < kVariants; ++v) {
+    ASSERT_TRUE(report.variants[v].ok()) << "variant " << v;
+    const TransientResult& lane = *report.variants[v].result;
+    // One layout object: the time grid and the name tables are shared,
+    // not copied per lane.
+    EXPECT_EQ(lane.layout().get(), first.layout().get());
+    EXPECT_EQ(&lane.time(), &first.time());
+    EXPECT_EQ(&lane.node_names(), &first.node_names());
+    EXPECT_EQ(&lane.branch_names(), &first.branch_names());
+    // ...while each lane's samples are its own.
+    EXPECT_NE(lane.voltage("out").back(), first.voltage("out").back());
+  }
+}
+
+TEST(BatchTransient, RenamedBranchIsRejected) {
+  Netlist a;
+  Netlist b;
+  build_macro_array(a, 1.0, 1.0, 1.0);
+  build_macro_array(b, 1.1, 1.0, 1.0);
+  b.elements()[0]->set_name("VOTHER");
+  std::vector<Netlist*> variants{&a, &b};
+  EXPECT_THROW(BatchTransient(array_options()).run(variants),
+               std::invalid_argument);
 }
 
 TEST(BatchTransient, MismatchedTopologyIsRejected) {

@@ -99,6 +99,31 @@ TEST(Correlation, NegativeShift) {
   EXPECT_EQ(peak_lag(x, y), -3);
 }
 
+TEST(Correlation, LagWindowMatchesFullCorrelation) {
+  // Unequal lengths, so both overlap edges and the zero-filled lags
+  // beyond them are exercised.
+  const auto x = random_vec(300, 19);
+  const auto y = random_vec(217, 20);
+  const std::vector<double> full = cross_correlate(x, y);
+  const auto zero = static_cast<std::ptrdiff_t>(x.size()) - 1;  // lag 0 index
+  const auto full_size = static_cast<std::ptrdiff_t>(full.size());
+  const double peak = max_abs(full);
+  for (const auto& [lo, hi] : {std::pair<std::ptrdiff_t, std::ptrdiff_t>{-20, 64},
+                              {-299, 217}, {-310, -290}, {200, 230}, {5, 5}}) {
+    const std::vector<double> w = cross_correlate_lags(x, y, lo, hi);
+    ASSERT_EQ(w.size(), static_cast<std::size_t>(hi - lo));
+    for (std::ptrdiff_t lag = lo; lag < hi; ++lag) {
+      const std::ptrdiff_t idx = lag + zero;
+      const double expect = idx >= 0 && idx < full_size
+                                ? full[static_cast<std::size_t>(idx)]
+                                : 0.0;
+      EXPECT_LE(std::abs(w[static_cast<std::size_t>(lag - lo)] - expect),
+                1e-12 * peak)
+          << "lag " << lag;
+    }
+  }
+}
+
 TEST(Correlation, CoefficientBounds) {
   const auto a = random_vec(64, 15);
   EXPECT_NEAR(correlation_coefficient(a, a), 1.0, 1e-12);

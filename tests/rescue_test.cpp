@@ -271,7 +271,7 @@ TEST(RescueLadder, DtHalvingKeepsCapacitorStateConsistent) {
   opts.rescue.max_gmin_steps = 2;
   const circuit::TransientResult res = circuit::transient(n, opts);
 
-  const std::vector<double>& v = res.voltage("out");
+  const circuit::WaveformView v = res.voltage("out");
   for (std::size_t k = 1; k < v.size(); ++k) {
     EXPECT_GT(v[k], v[k - 1] - 1e-12) << "k=" << k;
     EXPECT_LT(v[k], 2.5 + 1e-6);
@@ -324,8 +324,8 @@ TEST(RescueLadder, CleanNetlistsAreBitIdenticalWithLadderOnOrOff) {
   const circuit::TransientResult without = run(false);
   EXPECT_FALSE(with.rescue().used());
   ASSERT_EQ(with.samples(), without.samples());
-  const std::vector<double>& a = with.voltage("out");
-  const std::vector<double>& b = without.voltage("out");
+  const circuit::WaveformView a = with.voltage("out");
+  const circuit::WaveformView b = without.voltage("out");
   for (std::size_t k = 0; k < a.size(); ++k) {
     EXPECT_EQ(a[k], b[k]) << "sample " << k;  // exact, not NEAR
   }

@@ -133,7 +133,7 @@ std::vector<std::vector<double>> recurrence(const Ladder& lad,
 }
 
 /// Worst per-sample relative difference (exact zeros must match exactly).
-double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
+double max_rel_diff(const WaveformView& a, const std::vector<double>& b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -186,7 +186,7 @@ TEST(SparseBackend, RcStepErrorShrinksAtIntegrationOrder) {
     const double delay =
         method == Integration::kTrapezoidal ? dt / 2.0 : 0.0;
     const TransientResult r = simulate(kSingleRc, method, dt, t_stop, true);
-    const std::vector<double>& v = r.voltage(stage_node(0));
+    const WaveformView v = r.voltage(stage_node(0));
     double worst = 0.0;
     for (std::size_t k = 1; k < v.size(); ++k) {
       const double t = r.time()[k];

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "circuit/transient.h"
+#include "dsp/correlation.h"
 #include "dsp/vec.h"
 #include "faults/universe.h"
 #include "tsrt/detector.h"
@@ -315,6 +316,39 @@ TEST(Figure4Pin, Circuit3ImpulsePlusIddDetectsAllTwelve) {
   EXPECT_EQ(row.detected, 12u);
   EXPECT_NEAR(row.lo, 79.7, kPrinted);
   EXPECT_NEAR(row.hi, 100.0, kPrinted);
+}
+
+TEST(TransientTest, WindowedCorrelationMatchesFullCorrelation) {
+  // run_transient_test sums only the kept lags [-1 bit, +window bits)
+  // directly; the full FFT correlation, windowed the same way, must agree.
+  for (auto kind : {CircuitKind::kOp1Follower, CircuitKind::kScIntegratorComparator,
+                    CircuitKind::kScIntegratorAlone}) {
+    const TsrtOptions opts = paper_options(kind);
+    const TsrtRun run = run_transient_test(kind, std::nullopt, opts);
+    std::vector<double> p = run.stimulus;
+    std::vector<double> y = run.response;
+    const double pm = dsp::mean(p);
+    const double ym = dsp::mean(y);
+    for (double& v : p) v -= pm;
+    for (double& v : y) v -= ym;
+    std::vector<double> full = dsp::cross_correlate(p, y);
+    const double penergy = dsp::dot(p, p);
+    for (double& v : full) v /= penergy;
+    const auto spb = static_cast<std::size_t>(std::llround(opts.bit_time / run.dt));
+    const std::size_t lo = p.size() - 1 - spb;  // lag -1 bit
+    const auto span = static_cast<std::size_t>(
+        (opts.correlation_window_bits + 1.0) * static_cast<double>(spb));
+    ASSERT_EQ(run.correlation.size(), span) << circuit_name(kind);
+    const std::vector<double> window(full.begin() + static_cast<std::ptrdiff_t>(lo),
+                                     full.begin() + static_cast<std::ptrdiff_t>(lo + span));
+    const double peak = dsp::max_abs(window);
+    ASSERT_GT(peak, 0.0);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < span; ++i) {
+      worst = std::max(worst, std::abs(run.correlation[i] - window[i]));
+    }
+    EXPECT_LE(worst / peak, 1e-12) << circuit_name(kind);
+  }
 }
 
 TEST(TransientTest, Circuit2SolverStatsCountPivotReplays) {

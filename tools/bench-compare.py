@@ -18,6 +18,10 @@ machine", which is stable across hardware and still catches algorithmic
 regressions — losing LU reuse or stamp caching moves the ratio by far
 more than 20%. If the reference workload is missing from either file the
 script falls back to raw real_time comparison.
+
+A file produced with --benchmark_repetitions is compared through each
+benchmark's `median` aggregate (the normalizer's too); a file of single
+runs, like the baseline, through its one iteration entry.
 """
 
 import argparse
@@ -32,12 +36,14 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 def load_times(path):
     with open(path) as f:
         data = json.load(f)
-    times = {}
+    times, medians = {}, {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        scale = _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
-        times[b["name"]] = float(b["real_time"]) * scale
+        t = float(b["real_time"]) * _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
+        if b.get("run_type") != "aggregate":
+            times[b["name"]] = t
+        elif b.get("aggregate_name") == "median":
+            medians[b.get("run_name", b["name"])] = t
+    times.update(medians)
     return times
 
 

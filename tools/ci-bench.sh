@@ -26,21 +26,24 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # iteration counts on the batch keep the job's wall time bounded; the
 # sparse/lockstep mains also print their acceptance lines (single-RC
 # closed-form agreement <= 1e-12, >= 2x lockstep-over-scalar) to the
-# job log.
-"$BUILD_DIR"/bench/bench_step_response \
+# job log. Every benchmark runs five repetitions and reports only their
+# aggregates: the gate compares medians, so one contended run on a shared
+# host cannot fail it (or pass it) alone.
+REPS=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
+"$BUILD_DIR"/bench/bench_step_response "${REPS[@]}" \
   --benchmark_filter='LinearIntegratorTransient|SingleConversion' \
   --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_step.json \
   --benchmark_out_format=json > /dev/null
-"$BUILD_DIR"/bench/bench_batch \
+"$BUILD_DIR"/bench/bench_batch "${REPS[@]}" \
   --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_batch.json \
   --benchmark_out_format=json > /dev/null
-"$BUILD_DIR"/bench/bench_sparse_transient \
+"$BUILD_DIR"/bench/bench_sparse_transient "${REPS[@]}" \
   --benchmark_format=console --benchmark_out="$BUILD_DIR"/bench_sparse.json \
   --benchmark_out_format=json
-"$BUILD_DIR"/bench/bench_batch_lockstep \
+"$BUILD_DIR"/bench/bench_batch_lockstep "${REPS[@]}" \
   --benchmark_format=console --benchmark_out="$BUILD_DIR"/bench_lockstep.json \
   --benchmark_out_format=json
-"$BUILD_DIR"/bench/bench_adc_characterization \
+"$BUILD_DIR"/bench/bench_adc_characterization "${REPS[@]}" \
   --benchmark_filter='FullCharacterization' \
   --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_adc.json \
   --benchmark_out_format=json > /dev/null
